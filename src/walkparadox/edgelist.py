@@ -11,6 +11,8 @@ directive exactly when such nodes exist.
 
 from __future__ import annotations
 
+import math
+
 from .errors import GraphError
 from .graph import Graph, build
 
@@ -31,12 +33,12 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
             if lines_seen:
                 raise GraphError(f"line {lineno}: directives must precede all edges")
             directive = line[1:].strip().lower()
+            tokens = directive.split()
             if directive == "directed":
                 directed = True
             elif directive == "one-based":
                 one_based = True
-            elif directive.startswith("nodes"):
-                tokens = directive.split()
+            elif tokens[:1] == ["nodes"]:
                 if len(tokens) != 2 or not tokens[1].isdigit():
                     raise GraphError(f"line {lineno}: %nodes needs one integer, "
                                      "e.g. %nodes 12")
@@ -87,8 +89,10 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
         if key in seen:
             raise GraphError(f"line {lineno}: duplicate edge ({s}, {t}), first at line {seen[key]}")
         seen[key] = lineno
-        if not w > 0:
+        if w <= 0:
             raise GraphError(f"line {lineno}: nonpositive weight")
+        if not math.isfinite(w):
+            raise GraphError(f"line {lineno}: non-finite weight")
     return build(n, [(s, t, w) for _, s, t, w in edges], directed=directed)
 
 

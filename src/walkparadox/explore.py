@@ -134,6 +134,33 @@ def _record(trial: int, g: Graph, report) -> ViolationRecord:
     )
 
 
+def _lagarias_search(graphs, r: int, s: int, family: str, seed) -> SearchOutcome:
+    """Test the odd-order product inequality on each graph in turn.
+
+    Trial i is the i-th graph.  The order check runs before graphs is
+    first consumed, so a lazy iterable's own validation comes second.
+    """
+    if (r + s) % 2 == 0:
+        raise ParameterError("even order is theorem-guaranteed; search odd r+s instead")
+    violations = []
+    min_slack = None
+    for trials, g in enumerate(graphs, 1):
+        report = check_lagarias(g, r, s)
+        if min_slack is None or report.slack < min_slack:
+            min_slack = report.slack
+        if not report.holds:
+            violations.append(_record(trials - 1, g, report))
+    return SearchOutcome(
+        r=r,
+        s=s,
+        trials=trials,
+        violations=tuple(violations),
+        min_slack=float(min_slack),
+        family=family,
+        seed=seed,
+    )
+
+
 def search_lagarias_violation(
     spec: FamilySpec, r: int, s: int, trials: int
 ) -> SearchOutcome:
@@ -144,55 +171,22 @@ def search_lagarias_violation(
     derive_seed(spec.seed, i); outcomes are replayable from the stored
     edge lists alone.
     """
-    if (r + s) % 2 == 0:
-        raise ParameterError("even order is theorem-guaranteed; search odd r+s instead")
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    violations = []
-    min_slack = None
-    for trial in range(trials):
-        g = make(replace(spec, seed=derive_seed(spec.seed, trial)))
-        if g.directed:
-            raise ParameterError("the product inequality applies to undirected families")
-        report = check_lagarias(g, r, s)
-        if min_slack is None or report.slack < min_slack:
-            min_slack = report.slack
-        if not report.holds:
-            violations.append(_record(trial, g, report))
-    return SearchOutcome(
-        r=r,
-        s=s,
-        trials=trials,
-        violations=tuple(violations),
-        min_slack=float(min_slack),
-        family=spec.family,
-        seed=spec.seed,
-    )
+    def samples():
+        if trials < 1:
+            raise ParameterError("trials must be >= 1")
+        for trial in range(trials):
+            g = make(replace(spec, seed=derive_seed(spec.seed, trial)))
+            if g.directed:
+                raise ParameterError("the product inequality applies to undirected families")
+            yield g
+
+    return _lagarias_search(samples(), r, s, spec.family, spec.seed)
 
 
 def exhaustive_lagarias_search(max_n: int, r: int, s: int) -> SearchOutcome:
     """Test every connected labeled graph up to max_n nodes."""
-    if (r + s) % 2 == 0:
-        raise ParameterError("even order is theorem-guaranteed; search odd r+s instead")
-    violations = []
-    min_slack = None
-    count = 0
-    for g in enumerate_connected(max_n):
-        report = check_lagarias(g, r, s)
-        count += 1
-        if min_slack is None or report.slack < min_slack:
-            min_slack = report.slack
-        if not report.holds:
-            violations.append(_record(count - 1, g, report))
-    return SearchOutcome(
-        r=r,
-        s=s,
-        trials=count,
-        violations=tuple(violations),
-        min_slack=float(min_slack),
-        family=f"exhaustive(max_n={max_n})",
-        seed=None,
-    )
+    return _lagarias_search(enumerate_connected(max_n), r, s,
+                            f"exhaustive(max_n={max_n})", None)
 
 
 def replay_violation(record: ViolationRecord, r: int, s: int):

@@ -7,10 +7,17 @@ keys sorted, floats printed with 17 significant digits (lossless for
 doubles), exact rationals as "p/q" strings, and nothing time- or
 machine-dependent anywhere.  Identical inputs therefore produce
 byte-identical documents, which is itself a tested property.
+
+Payloads are derived from the report dataclasses: each field becomes a
+key of the same name (except ParadoxReport.measure_label -> "measure"
+and DirectedDegreeReport.reports -> "gaps"), report classes add their
+"type" tag wherever they appear, tuples become lists, and a nested
+NodeVector becomes its list of values.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -18,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from .centrality import KatzDegreeDiagnostic, KatzEigenvectorDiagnostic
 from .conditions import ConditionReport
-from .explore import SearchOutcome, SuiteSummary, SweepResult, ViolationRecord
+from .explore import SearchOutcome, SuiteSummary, SweepResult
 from .graph import Graph, NodeVector, is_regular
 from .paradox import DirectedDegreeReport, ParadoxReport
 from .spectral import EigenResult
@@ -84,167 +91,52 @@ def parse_document(text: str) -> dict:
     return json.loads(text)
 
 
-def _exact_map(exact: dict | None):
-    if exact is None:
-        return None
-    return {k: Fraction(v) for k, v in exact.items()}
+# Report classes: their "type" tag and the fields whose document key
+# differs from the field name.  Other dataclasses encode untagged.
+_TAGS = {
+    ParadoxReport: ("paradox", {"measure_label": "measure"}),
+    DirectedDegreeReport: ("directed_degree", {"reports": "gaps"}),
+    ConditionReport: ("condition", {}),
+    SweepResult: ("sweep", {}),
+    SearchOutcome: ("search", {}),
+    SuiteSummary: ("suite", {}),
+    EigenResult: ("eigenpair", {}),
+    KatzDegreeDiagnostic: ("katz_degree_limit", {}),
+    KatzEigenvectorDiagnostic: ("katz_eigenvector_limit", {}),
+}
 
 
-def _paradox_payload(rep: ParadoxReport) -> dict:
-    return {
-        "type": "paradox",
-        "mode": rep.mode,
-        "measure": rep.measure_label,
-        "node_average": rep.node_average,
-        "neighbour_average": rep.neighbour_average,
-        "gap": rep.gap,
-        "covariance_form": rep.covariance_form,
-        "holds": rep.holds,
-        "equality": rep.equality,
-        "tol": rep.tol,
-        "exact": _exact_map(rep.exact),
-    }
+def _tag_of(obj):
+    return next((_TAGS[cls] for cls in type(obj).__mro__ if cls in _TAGS), None)
 
 
-def _directed_payload(rep: DirectedDegreeReport) -> dict:
-    return {
-        "type": "directed_degree",
-        "gaps": {key: _paradox_payload(sub) for key, sub in rep.reports.items()},
-        "covariance": rep.covariance,
-        "covariance_exact": rep.covariance_exact,
-        "tol": rep.tol,
-    }
-
-
-def _condition_payload(rep: ConditionReport) -> dict:
-    return {
-        "type": "condition",
-        "condition_id": rep.condition_id,
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-        "slack": rep.slack,
-        "holds": rep.holds,
-        "guaranteed": rep.guaranteed,
-        "exact": _exact_map(rep.exact),
-        "details": rep.details,
-    }
-
-
-def _sweep_payload(res: SweepResult) -> dict:
-    return {
-        "type": "sweep",
-        "spectral_radius": res.spectral_radius,
-        "alphas": list(res.alphas),
-        "gaps": list(res.gaps),
-        "derivative_at_zero": res.derivative_at_zero,
-        "min_gap": res.min_gap,
-        "min_gap_alpha": res.min_gap_alpha,
-        "violations": list(res.violations),
-        "tol": res.tol,
-    }
-
-
-def _violation_payload(v: ViolationRecord) -> dict:
-    return {
-        "trial": v.trial,
-        "n": v.n,
-        "directed": v.directed,
-        "edges": [list(e) for e in v.edges],
-        "condition_id": v.condition_id,
-        "slack": v.slack,
-    }
-
-
-def _search_payload(res: SearchOutcome) -> dict:
-    return {
-        "type": "search",
-        "r": res.r,
-        "s": res.s,
-        "trials": res.trials,
-        "family": res.family,
-        "seed": res.seed,
-        "min_slack": res.min_slack,
-        "violations": [_violation_payload(v) for v in res.violations],
-    }
-
-
-def _suite_payload(res: SuiteSummary) -> dict:
-    return {
-        "type": "suite",
-        "family": res.family,
-        "trials": res.trials,
-        "failures": res.failures,
-        "checks": dict(res.checks),
-        "connectivity_retries": res.connectivity_retries,
-        "seed": res.seed,
-        "tol": res.tol,
-    }
-
-
-def _eigen_payload(res: EigenResult) -> dict:
-    return {
-        "type": "eigenpair",
-        "eigenvalue": res.eigenvalue,
-        "side": res.side,
-        "residual": res.residual,
-        "iterations": res.iterations,
-        "vector": res.vector.values.tolist(),
-    }
-
-
-def _vector_payload(vec: NodeVector) -> dict:
-    return {
-        "type": "centrality",
-        "label": vec.label,
-        "n": len(vec),
-        "values": vec.values.tolist(),
-    }
-
-
-def _degree_diag_payload(d: KatzDegreeDiagnostic) -> dict:
-    return {
-        "type": "katz_degree_limit",
-        "direction": d.direction,
-        "alphas": list(d.alphas),
-        "deviations": list(d.deviations),
-        "max_deviation": d.max_deviation,
-        "decreasing": d.decreasing,
-    }
-
-
-def _eigen_diag_payload(d: KatzEigenvectorDiagnostic) -> dict:
-    return {
-        "type": "katz_eigenvector_limit",
-        "side": d.side,
-        "alphas": list(d.alphas),
-        "similarities": list(d.similarities),
-        "final_similarity": d.final_similarity,
-        "increasing": d.increasing,
-    }
-
-
-_PAYLOADS = [
-    (ParadoxReport, _paradox_payload),
-    (DirectedDegreeReport, _directed_payload),
-    (ConditionReport, _condition_payload),
-    (SweepResult, _sweep_payload),
-    (SearchOutcome, _search_payload),
-    (SuiteSummary, _suite_payload),
-    (EigenResult, _eigen_payload),
-    (NodeVector, _vector_payload),
-    (KatzDegreeDiagnostic, _degree_diag_payload),
-    (KatzEigenvectorDiagnostic, _eigen_diag_payload),
-]
+def _encode(obj):
+    if isinstance(obj, NodeVector):
+        return obj.values.tolist()
+    if dataclasses.is_dataclass(obj):
+        tag, renames = _tag_of(obj) or (None, {})
+        out = {renames.get(f.name, f.name): _encode(getattr(obj, f.name))
+               for f in dataclasses.fields(obj)}
+        if tag is not None:
+            out["type"] = tag
+        return out
+    if isinstance(obj, (list, tuple)):
+        return [_encode(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    return obj
 
 
 def payload(obj) -> dict:
     """Typed dict form of any report object (dicts pass through)."""
     if isinstance(obj, dict):
         return obj
-    for cls, fn in _PAYLOADS:
-        if isinstance(obj, cls):
-            return fn(obj)
-    raise TypeError(f"no payload mapping for {type(obj).__name__}")
+    if isinstance(obj, NodeVector):
+        return {"type": "centrality", "label": obj.label, "n": len(obj),
+                "values": obj.values.tolist()}
+    if _tag_of(obj) is None:
+        raise TypeError(f"no payload mapping for {type(obj).__name__}")
+    return _encode(obj)
 
 
 def graph_summary(g: Graph) -> dict:

@@ -1,9 +1,9 @@
 """Sparse numeric kernels: matrix-vector products, dominant eigenpairs,
 Katz resolvents, matrix-function actions, and exact walk totals.
 
-Everything here acts on the stored arc structure directly.  Transposed
-variants run on the cached reversed graph, which makes "transposed on g"
-and "plain on transpose(g)" the same computation down to the last bit.
+Everything here acts on the stored arc structure directly.  Kernels
+follow the arcs of the graph they are given; for the transposed
+operator A^T pass transpose(g), the cached reversed graph.
 
 Conventions fixed by this module:
 
@@ -19,9 +19,9 @@ Conventions fixed by this module:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -60,14 +60,13 @@ def _matvec(g: Graph, x: np.ndarray) -> np.ndarray:
     return np.bincount(g.rows, weights=g.weights * x[g.indices], minlength=g.n)
 
 
-def apply(g: Graph, v, transposed: bool = False) -> NodeVector:
-    """Sparse product A v, or A^T v when transposed."""
+def apply(g: Graph, v) -> NodeVector:
+    """Sparse product A v."""
     values = v.values if isinstance(v, NodeVector) else np.asarray(v, dtype=float)
     if values.shape != (g.n,):
         raise GraphError(f"vector length {values.shape} does not match n={g.n}")
-    work = g.reverse if transposed else g
     label = getattr(v, "label", "")
-    return NodeVector(_matvec(work, values), f"apply[{label}]" if label else "apply")
+    return NodeVector(_matvec(g, values), f"apply[{label}]" if label else "apply")
 
 
 @dataclass(frozen=True)
@@ -216,7 +215,6 @@ def spectral_radius_estimate(g: Graph) -> float:
 def katz_action(
     g: Graph,
     alpha: float,
-    transposed: bool = False,
     tol: float = 1e-12,
     max_iter: int | None = None,
     spectral_radius: float | None = None,
@@ -238,7 +236,6 @@ def katz_action(
             f"alpha exceeds 1/spectral-radius: alpha*rho = {alpha * rho:.12g} "
             f"(rho ~ {rho:.12g}); need alpha*rho <= {1.0 - _ALPHA_MARGIN}"
         )
-    work = g.reverse if transposed else g
     if max_iter is None:
         max_iter = 1_000_000
     ones = np.ones(g.n)
@@ -246,7 +243,7 @@ def katz_action(
     delta = math.inf
     label = f"katz[alpha={alpha:.6g}]"
     for _ in range(max_iter):
-        y = ones + alpha * _matvec(work, x)
+        y = ones + alpha * _matvec(g, x)
         delta = float(np.linalg.norm(y - x))
         x = y
         if delta <= tol:
@@ -279,39 +276,37 @@ class SeriesCoefficients:
         return len(self.values) - 1
 
 
-def series_action(g: Graph, coeffs: SeriesCoefficients, transposed: bool = False) -> NodeVector:
+def series_action(g: Graph, coeffs: SeriesCoefficients) -> NodeVector:
     """x = sum_k c_k A^k 1, evaluated Horner-style from the top power."""
     if not isinstance(coeffs, SeriesCoefficients):
         coeffs = SeriesCoefficients(tuple(coeffs))
-    work = g.reverse if transposed else g
     ones = np.ones(g.n)
     vals = coeffs.values
     x = vals[-1] * ones
     for c in reversed(vals[:-1]):
-        x = _matvec(work, x) + c * ones
+        x = _matvec(g, x) + c * ones
     tag = ",".join(f"{c:.6g}" for c in vals)
     return NodeVector(x, f"series[{tag}]")
 
 
 def _taylor_action(
-    g: Graph, beta: float, tol: float, parity: int | None, transposed: bool, label: str
+    g: Graph, beta: float, tol: float, parity: int | None, label: str
 ) -> NodeVector:
     beta = float(beta)
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterError("beta must be positive and finite")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    work = g.reverse if transposed else g
     term = np.ones(g.n)
     total = term.copy() if parity in (None, 0) else np.zeros(g.n)
     # Terms grow until k ~ beta * max row sum; never trust the tolerance
     # test before that point.
-    row_max = float(np.bincount(work.rows, weights=work.weights, minlength=work.n).max())
+    row_max = float(np.bincount(g.rows, weights=g.weights, minlength=g.n).max())
     settle = beta * row_max
     added = parity in (None, 0)
     with np.errstate(over="ignore"):
         for k in range(1, _TAYLOR_CAP + 1):
-            term = (beta / k) * _matvec(work, term)
+            term = (beta / k) * _matvec(g, term)
             if not np.all(np.isfinite(term)):
                 raise ParameterError(
                     f"series terms overflowed at order {k}; use a smaller beta"
@@ -328,53 +323,56 @@ def _taylor_action(
     )
 
 
-def exp_action(g: Graph, beta: float, tol: float = 1e-12, transposed: bool = False) -> NodeVector:
+def exp_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     """exp(beta A) 1 by adaptive truncated Taylor summation."""
-    return _taylor_action(g, beta, tol, None, transposed, f"total[beta={beta:.6g}]")
+    return _taylor_action(g, beta, tol, None, f"total[beta={beta:.6g}]")
 
 
-def odd_action(g: Graph, beta: float, tol: float = 1e-12, transposed: bool = False) -> NodeVector:
+def odd_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     """sinh(beta A) 1: the odd-power half of the exponential series."""
-    return _taylor_action(g, beta, tol, 1, transposed, f"odd[beta={beta:.6g}]")
+    return _taylor_action(g, beta, tol, 1, f"odd[beta={beta:.6g}]")
 
 
-def even_action(g: Graph, beta: float, tol: float = 1e-12, transposed: bool = False) -> NodeVector:
+def even_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     """cosh(beta A) 1: the even-power half of the exponential series."""
-    return _taylor_action(g, beta, tol, 0, transposed, f"even[beta={beta:.6g}]")
+    return _taylor_action(g, beta, tol, 0, f"even[beta={beta:.6g}]")
 
 
-def _int_matvec(lists: Sequence[Sequence[int]], x: list) -> list:
-    return [sum(x[j] for j in nbrs) for nbrs in lists]
+def _walk_step(g: Graph):
+    """The all-ones start vector, the step x -> A x, and a context to run in.
+
+    Exact Python integers on unweighted graphs (arbitrary precision, so
+    no overflow is possible); floats on weighted graphs, where overflow
+    warnings are silenced because the finiteness checks report it.
+    """
+    if g.unweighted:
+        lists = g.out_lists
+        step = lambda x: [sum(x[j] for j in nbrs) for nbrs in lists]
+        return [1] * g.n, step, contextlib.nullcontext()
+    return np.ones(g.n), lambda x: _matvec(g, x), np.errstate(over="ignore")
+
+
+def _finite_total(total: float) -> float:
+    if not math.isfinite(total):
+        raise ParameterError("walk count overflow: weighted totals left float range")
+    return total
 
 
 def walk_counts_through(g: Graph, kmax: int):
     """Totals 1^T A^k 1 for k = 0..kmax in one pass.
 
-    Exact Python integers on unweighted graphs (arbitrary precision, so
-    no overflow is possible); float sums on weighted graphs, rejected
-    if they leave the finite range.
+    Exact integers on unweighted graphs; float sums on weighted graphs,
+    rejected if they leave the finite range.
     """
     if kmax < 0:
         raise ParameterError("walk order must be nonnegative")
+    x, step, quiet = _walk_step(g)
+    total = sum if g.unweighted else lambda v: _finite_total(float(v.sum()))
     out: list = [g.n]
-    if kmax == 0:
-        return out
-    if g.unweighted:
-        lists = g.out_lists
-        x = [1] * g.n
+    with quiet:
         for _ in range(kmax):
-            x = _int_matvec(lists, x)
-            out.append(sum(x))
-        return out
-    x = np.ones(g.n)
-    # errstate: overflow is caught by the isfinite check below, not a warning
-    with np.errstate(over="ignore"):
-        for _ in range(kmax):
-            x = _matvec(g, x)
-            total = float(x.sum())
-            if not math.isfinite(total):
-                raise ParameterError("walk count overflow: weighted totals left float range")
-            out.append(total)
+            x = step(x)
+            out.append(total(x))
     return out
 
 
@@ -387,19 +385,11 @@ def mixed_walk_count(g: Graph, k: int):
     """1^T A^T A^k 1 = d_out . (A^k 1), exact on unweighted graphs."""
     if k < 0:
         raise ParameterError("walk order must be nonnegative")
-    if g.unweighted:
-        lists = g.out_lists
-        x = [1] * g.n
+    x, step, quiet = _walk_step(g)
+    with quiet:
         for _ in range(k):
-            x = _int_matvec(lists, x)
-        d_out = [len(nbrs) for nbrs in lists]
-        return sum(d * v for d, v in zip(d_out, x))
-    x = np.ones(g.n)
-    with np.errstate(over="ignore"):
-        for _ in range(k):
-            x = _matvec(g, x)
+            x = step(x)
+        if g.unweighted:
+            return sum(len(nbrs) * v for nbrs, v in zip(g.out_lists, x))
         d_out = np.bincount(g.rows, weights=g.weights, minlength=g.n)
-        total = float(d_out @ x)
-    if not math.isfinite(total):
-        raise ParameterError("walk count overflow: weighted totals left float range")
-    return total
+        return _finite_total(float(d_out @ x))

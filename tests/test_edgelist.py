@@ -69,8 +69,16 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("0 1\n%directed\n")
     with pytest.raises(GraphError, match="line 1: unknown directive"):
         parse_edge_list("%loops\n0 1\n")
+    with pytest.raises(GraphError, match="line 1: unknown directive"):
+        parse_edge_list("%nodesfoo 5\n0 1\n")
+    with pytest.raises(GraphError, match="line 1: unknown directive"):
+        parse_edge_list("%nodes5x 5\n0 1\n")
     with pytest.raises(GraphError, match="line 2: nonpositive weight"):
         parse_edge_list("0 1\n1 2 -4\n")
+    with pytest.raises(GraphError, match="line 2: non-finite weight"):
+        parse_edge_list("1 2\n0 1 inf\n")
+    with pytest.raises(GraphError, match="line 1: non-finite weight"):
+        parse_edge_list("0 1 1e400\n")
     with pytest.raises(GraphError, match="line 1: node ids must be integers"):
         parse_edge_list("a b\n")
     with pytest.raises(GraphError, match="line 1: bad weight"):

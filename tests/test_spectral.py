@@ -21,7 +21,7 @@ def test_apply_matches_dense(g):
     x = np.array([rng.uniform() for _ in range(g.n)])
     a = oracle.dense_adjacency(g)
     assert np.allclose(wp.apply(g, x).values, a @ x, rtol=1e-13, atol=1e-13)
-    assert np.allclose(wp.apply(g, x, transposed=True).values, a.T @ x,
+    assert np.allclose(wp.apply(wp.transpose(g), x).values, a.T @ x,
                        rtol=1e-13, atol=1e-13)
 
 
@@ -136,9 +136,10 @@ def test_katz_residual_contract():
 
 def test_katz_transposed_equals_transpose_graph():
     g = wp.hub_cycle(8)
-    lhs = wp.katz_action(g, 0.2, transposed=True).values
-    rhs = wp.katz_action(wp.transpose(g), 0.2).values
-    assert np.array_equal(lhs, rhs)
+    x = wp.katz_action(wp.transpose(g), 0.2).values
+    a = oracle.dense_adjacency(g)
+    residual = np.linalg.norm((np.eye(g.n) - 0.2 * a.T) @ x - np.ones(g.n))
+    assert residual <= 1e-12
 
 
 def test_katz_alpha_validation():
