@@ -50,6 +50,13 @@ CLI_CASES = {
                                   "weighted_violator.edges", 1),
     "conditions_scan_rs": (
         ["conditions", "--family", "figure1", "--scan", "4", "--r", "1", "--s", "2"], None, 0),
+    "conditions_default_figure1": (["conditions", "--family", "figure1"], None, 0),
+    "conditions_default_hub_cycle": (["conditions", "--family", "hub_cycle", "--n", "6"],
+                                     None, 0),
+    "conditions_mixed_hub_cycle": (
+        ["conditions", "--family", "hub_cycle", "--n", "6", "--mixed", "--max-k", "5"],
+        None, 0),
+    "conditions_scan_figure1": (["conditions", "--family", "figure1", "--scan", "6"], None, 0),
     "conditions_spectral_first_order": (
         ["conditions", "--graph", "-", "--spectral", "--first-order"], "three_node.edges", 1),
     "sweep_json": (["sweep", "--family", "figure1", "--grid", "5"], None, 0),
@@ -73,6 +80,9 @@ CLI_CASES = {
     "centrality_degree_receive": (
         ["centrality", "--graph", "-", "--measure", "degree", "--direction", "receive"],
         "star_out_5.edges", 0),
+    "centrality_katz_receive": (
+        ["centrality", "--graph", "-", "--measure", "katz", "--direction", "receive"],
+        "hub_cycle_10.edges", 0),
     "centrality_total_figure1": (
         ["centrality", "--family", "figure1", "--measure", "total", "--beta", "0.5"], None, 0),
     "generate_connected": (["generate", *ER8, "--connected"], None, 0),
