@@ -2,10 +2,11 @@
 
 Directions: "undirected" demands an undirected graph; "broadcast" scores
 nodes by the walks they emit (A-based) and "receive" by the walks that
-reach them (A^T-based).  Receive is implemented literally as broadcast
-on the reversed graph, which is why the two agree bit for bit under
-transposition.  For the eigenvector kind, broadcast selects the right
-Perron vector and receive the left one: those are the pairings under
+reach them (A^T-based).  The orientation map in graph.py turns a
+direction into the graph to run on, so receive is literally broadcast
+on the reversed graph and the two agree bit for bit under
+transposition.  The same map pairs broadcast with the right Perron
+vector and receive with the left one: those are the pairings under
 which the in- and out-degree paradox statements become equivalences.
 """
 
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraphError, ParameterError
-from .graph import Graph, NodeVector, out_degree_vector, transpose
+from .errors import ParameterError
+from .graph import Graph, NodeVector, _oriented, _side, out_degree_vector
 from .spectral import (
     SeriesCoefficients,
     dominant_eigenpair,
@@ -78,24 +79,13 @@ class CentralitySpec:
             raise ParameterError("tol must be positive")
 
 
-def _work_graph(g: Graph, direction: str) -> Graph:
-    if direction == "undirected":
-        if g.directed:
-            raise GraphError(
-                "direction 'undirected' is invalid on a directed graph; "
-                "choose 'broadcast' or 'receive'"
-            )
-        return g
-    return transpose(g) if direction == "receive" else g
-
-
 def compute(g: Graph, spec: CentralitySpec) -> NodeVector:
     """Evaluate the specified measure on g.
 
     Eigenvector output is scaled to sum n; walk-based measures are
     returned raw (Katz entries are always >= 1 from the identity term).
     """
-    work = _work_graph(g, spec.direction)
+    work = _oriented(g, spec.direction)
     kind = spec.kind
 
     if kind == "degree":
@@ -138,7 +128,7 @@ def katz_degree_limit_check(g: Graph, direction: str = "undirected", alphas=None
     Deviations are max-norm distances to the direction's degree vector,
     relative to its largest entry; they must shrink as alpha does.
     """
-    work = _work_graph(g, direction)
+    work = _oriented(g, direction)
     if alphas is None:
         rho = spectral_radius_estimate(work)
         alphas = (0.1 / rho, 0.01 / rho, 0.001 / rho)
@@ -171,14 +161,12 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 def katz_eigenvector_limit_check(g: Graph, side: str = "right", alphas=None) -> KatzEigenvectorDiagnostic:
     """Cosine similarity of Katz vectors to the Perron vector as alpha rises.
 
-    side accepts left/right or the direction aliases receive/broadcast.
-    With the default grid the last point sits at 0.999/lambda_1, where
+    side accepts left/right or any direction name and is reported as
+    left or right.  With the default grid the last point sits at 0.999/lambda_1, where
     similarity should be within 1e-6 of 1.
     """
-    side = {"broadcast": "right", "receive": "left"}.get(side, side)
-    if side not in ("left", "right"):
-        raise ParameterError(f"side must be left/right (or broadcast/receive): {side!r}")
-    work = transpose(g) if side == "left" else g
+    side = _side(g, side)
+    work = _oriented(g, side)
     eig = dominant_eigenpair(work, side="right", tol=1e-10)
     lam = eig.eigenvalue
     if alphas is None:

@@ -23,10 +23,9 @@ from collections import Counter
 from .centrality import CentralitySpec, compute
 from .conditions import (
     check_lagarias,
-    check_mixed_walk_growth,
     check_spectral_directed,
-    check_walk_growth,
     first_order_in_degree_term,
+    growth_checks,
     lagarias_scan,
 )
 from .edgelist import format_edge_list, parse_edge_list
@@ -43,7 +42,7 @@ from .explore import (
     search_lagarias_violation,
 )
 from .generators import FamilySpec, enumerate_connected, make, make_connected
-from .graph import Graph
+from .graph import Graph, _side
 from .paradox import directed_degree_report, paradox_report
 from .reports import canonical_json, document, search_csv, sweep_csv
 from .spectral import SeriesCoefficients, dominant_eigenpair
@@ -184,11 +183,7 @@ def _cmd_centrality(args) -> int:
     if direction == "auto":
         direction = "broadcast" if g.directed else "undirected"
     if args.measure == "eigenvector":
-        if direction == "undirected" and g.directed:
-            raise GraphError("direction 'undirected' is invalid on a directed graph; "
-                             "choose 'broadcast' or 'receive'")
-        side = "left" if direction == "receive" else "right"
-        result = dominant_eigenpair(g, side=side,
+        result = dominant_eigenpair(g, side=_side(g, direction),
                                     tol=1e-10 if args.tol is None else args.tol)
         payloads = [result]
     else:
@@ -236,45 +231,30 @@ def _cmd_directed_paradox(args) -> int:
 def _cmd_conditions(args) -> int:
     g = _load_graph(args)
     reports: list = []
-    selected = False
 
     if args.r is not None or args.s is not None:
         if args.r is None or args.s is None:
             raise ParameterError("--r and --s go together")
         reports.append(check_lagarias(g, args.r, args.s))
-        selected = True
     if args.scan is not None:
         reports.extend(lagarias_scan(g, args.scan))
-        selected = True
 
-    depth = args.max_k
-    if depth is None and args.mixed:
-        depth = _DEFAULT_BATTERY_DEPTH
-    if depth is not None:
-        selected = True
+    depth = args.max_k or (_DEFAULT_BATTERY_DEPTH if args.mixed else None)
+    first_order = args.first_order
+    if not (reports or depth or args.spectral or first_order):
+        # the default battery
+        depth, first_order = _DEFAULT_BATTERY_DEPTH, g.directed
+    if depth:
         if g.directed or args.mixed:
-            reports.extend(check_mixed_walk_growth(g, k) for k in range(1, depth + 1))
+            reports.extend(growth_checks(g, range(1, depth + 1), mixed=True))
         if not g.directed:
-            reports.extend(check_walk_growth(g, k) for k in range(1, depth + 1))
-
+            reports.extend(growth_checks(g, range(1, depth + 1)))
     if args.spectral:
         reports.append(check_spectral_directed(g, side="left"))
         reports.append(check_spectral_directed(g, side="right"))
-        selected = True
-    if args.first_order:
+    if first_order:
         reports.append({"type": "first_order_term",
                         "value": first_order_in_degree_term(g)})
-        selected = True
-
-    if not selected:
-        if g.directed:
-            reports.extend(check_mixed_walk_growth(g, k)
-                           for k in range(1, _DEFAULT_BATTERY_DEPTH + 1))
-            reports.append({"type": "first_order_term",
-                            "value": first_order_in_degree_term(g)})
-        else:
-            reports.extend(check_walk_growth(g, k)
-                           for k in range(1, _DEFAULT_BATTERY_DEPTH + 1))
 
     doc = document(args.argv, g, reports, seed=_seed_of(args))
     _emit(args, doc)

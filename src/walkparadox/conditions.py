@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GraphError, ParameterError, TheoremViolationError
-from .graph import Graph, is_strongly_connected
+from .graph import Graph
 from .paradox import paradox_report
-from .spectral import dominant_eigenpair, mixed_walk_count, walk_counts_through
+from .spectral import _walk_sums, dominant_eigenpair, walk_counts_through
 
 __all__ = [
     "ConditionReport",
@@ -81,22 +81,45 @@ def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> Condition
     )
 
 
+def growth_checks(g: Graph, orders, mixed: bool = False) -> list[ConditionReport]:
+    """Walk growth checks (mixed ones if mixed) at the given increasing
+    orders, all built from one walk pass."""
+    if not mixed and g.directed:
+        raise GraphError("walk growth check is for undirected graphs; "
+                         "see check_mixed_walk_growth")
+    if orders[0] < 1:
+        raise ParameterError("order k must be >= 1")
+    exact = g.unweighted
+    w, m = _walk_sums(g, orders[-1] + (not mixed), mixed)
+    out = []
+    for k in orders:
+        rhs = Fraction(w[k] * w[1], g.n) if exact else w[k] * w[1] / g.n
+        if mixed:
+            guaranteed = k == 1 or (exact and not g.directed and k % 2 == 1)
+            out.append(_report(f"mixed_walk_growth(k={k})", m[k], rhs, exact, guaranteed, g))
+        else:
+            out.append(_report(f"walk_growth(k={k})", w[k + 1], rhs, exact,
+                               exact and k % 2 == 1, g))
+    return out
+
+
+def _product_checks(g: Graph, pairs) -> list[ConditionReport]:
+    """Product inequalities for (r, s) pairs of rising r + s, from one walk pass."""
+    if g.directed:
+        raise GraphError("the walk product inequality applies to undirected graphs")
+    w = walk_counts_through(g, sum(pairs[-1]))
+    exact = g.unweighted
+    return [_report(f"lagarias(r={r},s={s})", g.n * w[r + s], w[r] * w[s], exact,
+                    exact and (r + s) % 2 == 0, g) for r, s in pairs]
+
+
 def check_walk_growth(g: Graph, k: int) -> ConditionReport:
     """Does the walk total at order k+1 dominate w_k * w_1 / n?
 
     This is the per-order sufficient condition for walk-series paradoxes
     on undirected graphs.  Odd k instances are theorem-guaranteed.
     """
-    if g.directed:
-        raise GraphError("walk growth check is for undirected graphs; "
-                         "see check_mixed_walk_growth")
-    if k < 1:
-        raise ParameterError("order k must be >= 1")
-    w = walk_counts_through(g, k + 1)
-    exact = g.unweighted
-    lhs = w[k + 1]
-    rhs = Fraction(w[k] * w[1], g.n) if exact else w[k] * w[1] / g.n
-    return _report(f"walk_growth(k={k})", lhs, rhs, exact, exact and k % 2 == 1, g)
+    return growth_checks(g, (k,))[0]
 
 
 def check_lagarias(g: Graph, r: int, s: int) -> ConditionReport:
@@ -105,16 +128,9 @@ def check_lagarias(g: Graph, r: int, s: int) -> ConditionReport:
     Guaranteed whenever r + s is even; odd orders are informational and
     may legitimately fail.
     """
-    if g.directed:
-        raise GraphError("the walk product inequality applies to undirected graphs")
     if r < 1 or s < 1:
         raise ParameterError("orders r and s must be >= 1")
-    w = walk_counts_through(g, r + s)
-    exact = g.unweighted
-    lhs = g.n * w[r + s]
-    rhs = w[r] * w[s]
-    guaranteed = exact and (r + s) % 2 == 0
-    return _report(f"lagarias(r={r},s={s})", lhs, rhs, exact, guaranteed, g)
+    return _product_checks(g, ((r, s),))[0]
 
 
 def check_mixed_walk_growth(g: Graph, k: int) -> ConditionReport:
@@ -125,14 +141,7 @@ def check_mixed_walk_growth(g: Graph, k: int) -> ConditionReport:
     guaranteed; on undirected graphs the check coincides exactly with
     check_walk_growth.
     """
-    if k < 1:
-        raise ParameterError("order k must be >= 1")
-    w = walk_counts_through(g, k)
-    exact = g.unweighted
-    lhs = mixed_walk_count(g, k)
-    rhs = Fraction(w[k] * w[1], g.n) if exact else w[k] * w[1] / g.n
-    guaranteed = k == 1 or (exact and not g.directed and k % 2 == 1)
-    return _report(f"mixed_walk_growth(k={k})", lhs, rhs, exact, guaranteed, g)
+    return growth_checks(g, (k,), mixed=True)[0]
 
 
 def check_spectral_directed(g: Graph, side: str = "left") -> ConditionReport:
@@ -143,11 +152,7 @@ def check_spectral_directed(g: Graph, side: str = "left") -> ConditionReport:
     in-degrees), so the two verdicts are cross-checked here and any
     sign disagreement is treated as an implementation fault.
     """
-    if side not in ("left", "right"):
-        raise ParameterError(f"side must be 'left' or 'right': {side!r}")
-    if not is_strongly_connected(g):
-        raise GraphError("strong connectivity required for the spectral condition")
-    eig = dominant_eigenpair(g, side=side, tol=1e-10)
+    eig = dominant_eigenpair(g, side=side, tol=1e-10)  # validates side and irreducibility
     lhs = eig.eigenvalue
     rhs = g.total_weight / g.n
     mode = "out" if side == "left" else "in"
@@ -191,8 +196,5 @@ def lagarias_scan(g: Graph, max_order: int) -> list[ConditionReport]:
     """
     if max_order < 2:
         raise ParameterError("max_order must be >= 2")
-    out = []
-    for total in range(2, max_order + 1):
-        for r in range(1, total // 2 + 1):
-            out.append(check_lagarias(g, r, total - r))
-    return out
+    return _product_checks(g, [(r, total - r) for total in range(2, max_order + 1)
+                               for r in range(1, total // 2 + 1)])

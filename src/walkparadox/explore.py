@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .centrality import CentralitySpec, compute
-from .conditions import check_lagarias, check_spectral_directed, check_walk_growth
+from .conditions import check_lagarias, check_spectral_directed, growth_checks
 from .errors import ConvergenceError, GraphError, ParameterError, TheoremViolationError
 from .generators import FamilySpec, enumerate_connected, make, make_connected
 from .graph import Graph, build, is_connected, is_regular, is_strongly_connected
@@ -206,13 +206,12 @@ def build_power_series_counterexample(g: Graph, epsilon: float | None = None):
 
     Returns (coefficients, report); the report's holds flag is False.
     """
-    rep2 = check_walk_growth(g, 2)
+    rep1, rep2 = growth_checks(g, (1, 2))
     if rep2.holds:
         raise ParameterError(
             "graph does not violate the order-2 walk growth condition "
             f"(slack {rep2.slack!r}); nothing to build"
         )
-    rep1 = check_walk_growth(g, 1)
     if epsilon is None:
         epsilon = -rep2.slack / (2.0 * rep1.slack) if rep1.slack > 0 else 1.0
     epsilon = float(epsilon)

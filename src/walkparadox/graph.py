@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, ParameterError
 
 __all__ = [
     "Graph",
@@ -38,6 +38,12 @@ __all__ = [
 
 # Relative spread below which weighted degrees count as equal.
 _REGULAR_RTOL = 1e-12
+
+# The one map from a direction, Perron side or degree mode to the matrix
+# it means: "right" is A itself (broadcast walks, right Perron vectors,
+# out-degrees) and "left" its transpose A^T (receive, left, in-degrees).
+_SIDES = {"undirected": "right", "broadcast": "right", "right": "right", "out": "right",
+          "receive": "left", "left": "left", "in": "left"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,25 +307,14 @@ def is_regular(g: Graph, orientation: str = "undirected"):
     graphs compare integer degrees exactly; weighted graphs allow a
     1e-12 relative spread.
     """
-    if orientation == "undirected":
-        if g.directed:
-            raise GraphError("orientation 'undirected' requires an undirected graph")
-        counts = int_out_degrees(g)
-        sums = _row_sums(g)
-    elif orientation == "out":
-        counts = int_out_degrees(g)
-        sums = _row_sums(g)
-    elif orientation == "in":
-        counts = int_in_degrees(g)
-        sums = _row_sums(g.reverse)
-    else:
-        raise GraphError(f"orientation must be undirected, out or in: {orientation!r}")
-
+    h = _oriented(g, orientation)
     if g.unweighted:
+        counts = int_out_degrees(h)
         first = counts[0]
         if all(c == first for c in counts):
             return True, first
         return False, None
+    sums = _row_sums(h)
     lo, hi = float(sums.min()), float(sums.max())
     if hi - lo <= _REGULAR_RTOL * max(abs(hi), abs(lo), 1.0):
         return True, float(sums.mean())
@@ -329,6 +324,21 @@ def is_regular(g: Graph, orientation: str = "undirected"):
 def transpose(g: Graph) -> Graph:
     """Arc-reversed graph; the same object for undirected input."""
     return g.reverse
+
+
+def _side(g: Graph, name: str) -> str:
+    """"right" (A) or "left" (A^T) for a name; "undirected" rejects a digraph."""
+    if name not in _SIDES:
+        raise ParameterError(f"unknown direction or side {name!r}")
+    if name == "undirected" and g.directed:
+        raise GraphError("'undirected' is invalid on a directed graph; choose "
+                         "broadcast or receive for a measure, out or in for degrees")
+    return _SIDES[name]
+
+
+def _oriented(g: Graph, name: str) -> Graph:
+    """g for a name that selects A, its cached reverse for one that selects A^T."""
+    return g.reverse if _side(g, name) == "left" else g
 
 
 def validate_graph(g: Graph) -> None:

@@ -26,6 +26,7 @@ from .errors import GraphError, ParameterError, TheoremViolationError
 from .graph import (
     Graph,
     NodeVector,
+    _oriented,
     degree_vector,
     in_degree_vector,
     int_in_degrees,
@@ -112,20 +113,11 @@ def _as_ints(values: np.ndarray) -> list[int] | None:
     return [int(v) for v in rounded]
 
 
-def _mode_degrees(g: Graph, mode: str) -> NodeVector:
-    if mode == "undirected":
-        if g.directed:
-            raise GraphError("mode 'undirected' is invalid on a directed graph; use out or in")
-        return degree_vector(g)
-    if mode == "out":
-        return out_degree_vector(g)
-    if mode == "in":
-        return in_degree_vector(g)
-    raise ParameterError(f"mode must be one of {_MODES}: {mode!r}")
-
-
-def _mode_int_degrees(g: Graph, mode: str) -> list[int]:
-    return int_in_degrees(g) if mode == "in" else int_out_degrees(g)
+def _sampler(g: Graph, mode: str) -> Graph:
+    """The graph whose out-degrees weight the neighbour average in mode."""
+    if mode not in _MODES:
+        raise ParameterError(f"mode must be one of {_MODES}: {mode!r}")
+    return _oriented(g, mode)
 
 
 def node_average(x) -> float:
@@ -139,12 +131,11 @@ def node_average(x) -> float:
 def neighbour_average(g: Graph, x, mode: str = "undirected") -> float:
     """Degree-weighted mean d.x/||d||_1, with d chosen by mode."""
     values = _check_attribute(g, x)
-    d = _mode_degrees(g, mode).values
+    d = out_degree_vector(_sampler(g, mode)).values
     return float(d @ values) / float(d.sum())
 
 
-def _exact_report(g, ints, mode, label, tol) -> ParadoxReport:
-    d = _mode_int_degrees(g, mode)
+def _exact_report(g, d, ints, mode, label, tol) -> ParadoxReport:
     n = g.n
     sd = sum(d)
     sx = sum(ints)
@@ -180,8 +171,7 @@ def _exact_report(g, ints, mode, label, tol) -> ParadoxReport:
     )
 
 
-def _float_report(g, values, mode, label, tol) -> ParadoxReport:
-    d = _mode_degrees(g, mode).values
+def _float_report(g, d, values, mode, label, tol) -> ParadoxReport:
     n = g.n
     neigh_avg = float(d @ values) / float(d.sum())
     node_avg = float(values.sum()) / n
@@ -210,18 +200,16 @@ def _float_report(g, values, mode, label, tol) -> ParadoxReport:
 
 def paradox_report(g: Graph, x, mode: str = "undirected", tol: float = 1e-9) -> ParadoxReport:
     """Full evaluation of the generalized paradox for attribute x."""
-    if mode not in _MODES:
-        raise ParameterError(f"mode must be one of {_MODES}: {mode!r}")
     if tol < 0:
         raise ParameterError("tol must be nonnegative")
     values = _check_attribute(g, x)
-    _mode_degrees(g, mode)  # validates mode/directedness before any work
+    sampler = _sampler(g, mode)
     label = getattr(x, "label", "") or "attribute"
     if g.unweighted:
         ints = _as_ints(values)
         if ints is not None:
-            return _exact_report(g, ints, mode, label, tol)
-    return _float_report(g, values, mode, label, tol)
+            return _exact_report(g, int_out_degrees(sampler), ints, mode, label, tol)
+    return _float_report(g, out_degree_vector(sampler).values, values, mode, label, tol)
 
 
 def classic_friendship_paradox(g: Graph, tol: float = 1e-9) -> ParadoxReport:

@@ -3,7 +3,9 @@ Katz resolvents, matrix-function actions, and exact walk totals.
 
 Everything here acts on the stored arc structure directly.  Kernels
 follow the arcs of the graph they are given; for the transposed
-operator A^T pass transpose(g), the cached reversed graph.
+operator A^T pass the graph's ``transpose``, its cached reverse.  The only
+orientation choice made here, the left Perron side, goes through the
+orientation map in graph.py.
 
 Conventions fixed by this module:
 
@@ -14,7 +16,9 @@ Conventions fixed by this module:
   is invisible in the result (subtracted from the eigenvalue) but makes
   bipartite and periodic structures converge.
 * Walk totals on unweighted graphs use Python integers, so they are
-  exact at any order; weighted graphs fall back to float sums.
+  exact at any order; weighted graphs fall back to float sums.  Totals
+  w_k = 1^T A^k 1 and mixed sums 1^T A^T A^k 1 = (A 1).(A^k 1) share one
+  A^k 1 loop, so a caller that needs every order up to K pays K products.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, ParameterError
-from .graph import Graph, NodeVector, is_connected, is_strongly_connected
+from .graph import Graph, NodeVector, _oriented, is_strongly_connected
 
 __all__ = [
     "EigenResult",
@@ -157,7 +162,7 @@ def dominant_eigenpair(
     """Perron eigenpair of a connected (strongly connected) graph.
 
     side "left" is served by running the right iteration on the
-    reversed graph, so left-on-g and right-on-transpose(g) coincide
+    reversed graph, so left on g and right on its transpose coincide
     exactly.  Raises ConvergenceError carrying the best iterate if the
     residual never reaches tol.
     """
@@ -165,13 +170,10 @@ def dominant_eigenpair(
         raise ParameterError(f"side must be 'left' or 'right': {side!r}")
     if not tol > 0:
         raise ParameterError("tol must be positive")
-    if g.directed:
-        if not is_strongly_connected(g):
-            raise GraphError("irreducibility required: graph is not strongly connected")
-    elif not is_connected(g):
-        raise GraphError("irreducibility required: graph is not connected")
+    if not is_strongly_connected(g):
+        raise GraphError("irreducibility required: graph is not (strongly) connected")
 
-    work = g.reverse if side == "left" else g
+    work = _oriented(g, side)
     if max_iter is None:
         max_iter = 100 * g.n + 1000
     runner = _power_iteration_small if g.n <= _SMALL_N else _power_iteration_large
@@ -204,8 +206,7 @@ def spectral_radius_estimate(g: Graph) -> float:
     ones fall back to min(max row sum, max col sum), an upper bound that
     may reject some admissible Katz parameters but never admits a bad one.
     """
-    connected = is_connected(g) if not g.directed else is_strongly_connected(g)
-    if connected:
+    if is_strongly_connected(g):
         return dominant_eigenpair(g).eigenvalue
     row_max = float(np.bincount(g.rows, weights=g.weights, minlength=g.n).max())
     col_max = float(np.bincount(g.indices, weights=g.weights, minlength=g.n).max())
@@ -338,42 +339,50 @@ def even_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     return _taylor_action(g, beta, tol, 0, f"even[beta={beta:.6g}]")
 
 
-def _walk_step(g: Graph):
-    """The all-ones start vector, the step x -> A x, and a context to run in.
-
-    Exact Python integers on unweighted graphs (arbitrary precision, so
-    no overflow is possible); floats on weighted graphs, where overflow
-    warnings are silenced because the finiteness checks report it.
-    """
-    if g.unweighted:
-        lists = g.out_lists
-        step = lambda x: [sum(x[j] for j in nbrs) for nbrs in lists]
-        return [1] * g.n, step, contextlib.nullcontext()
-    return np.ones(g.n), lambda x: _matvec(g, x), np.errstate(over="ignore")
-
-
 def _finite_total(total: float) -> float:
     if not math.isfinite(total):
         raise ParameterError("walk count overflow: weighted totals left float range")
     return total
 
 
-def walk_counts_through(g: Graph, kmax: int):
-    """Totals 1^T A^k 1 for k = 0..kmax in one pass.
+def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
+    """Totals 1^T A^k 1 for k = 0..kmax from one A^k 1 loop, and with
+    mixed also the sums 1^T A^T A^k 1 = (A 1).(A^k 1) on the same vectors
+    (None otherwise).
 
-    Exact integers on unweighted graphs; float sums on weighted graphs,
-    rejected if they leave the finite range.
+    Exact Python integers on unweighted graphs (arbitrary precision, so
+    no overflow is possible); floats on weighted graphs, where overflow
+    warnings are silenced and sums that leave the finite range are
+    rejected.
     """
     if kmax < 0:
         raise ParameterError("walk order must be nonnegative")
-    x, step, quiet = _walk_step(g)
-    total = sum if g.unweighted else lambda v: _finite_total(float(v.sum()))
-    out: list = [g.n]
+    if g.unweighted:
+        lists = g.out_lists
+        x, quiet = [1] * g.n, contextlib.nullcontext()
+        step = lambda x: [sum(x[j] for j in nbrs) for nbrs in lists]
+        total, dot = sum, lambda d, x: sum(map(mul, d, x))
+    else:
+        x, quiet = np.ones(g.n), np.errstate(over="ignore")
+        step = lambda x: _matvec(g, x)
+        total = lambda v: _finite_total(float(v.sum()))
+        dot = lambda d, v: _finite_total(float(d @ v))
+    totals, sums = [g.n], None
     with quiet:
+        if mixed:
+            d = step(x)  # A 1, the out-degrees: built for mixed sums only
+            sums = [dot(d, x)]
         for _ in range(kmax):
             x = step(x)
-            out.append(total(x))
-    return out
+            totals.append(total(x))
+            if mixed:
+                sums.append(dot(d, x))
+    return totals, sums
+
+
+def walk_counts_through(g: Graph, kmax: int):
+    """Totals 1^T A^k 1 for k = 0..kmax in one pass."""
+    return _walk_sums(g, kmax)[0]
 
 
 def walk_count(g: Graph, k: int):
@@ -383,13 +392,4 @@ def walk_count(g: Graph, k: int):
 
 def mixed_walk_count(g: Graph, k: int):
     """1^T A^T A^k 1 = d_out . (A^k 1), exact on unweighted graphs."""
-    if k < 0:
-        raise ParameterError("walk order must be nonnegative")
-    x, step, quiet = _walk_step(g)
-    with quiet:
-        for _ in range(k):
-            x = step(x)
-        if g.unweighted:
-            return sum(len(nbrs) * v for nbrs, v in zip(g.out_lists, x))
-        d_out = np.bincount(g.rows, weights=g.weights, minlength=g.n)
-        return _finite_total(float(d_out @ x))
+    return _walk_sums(g, k, mixed=True)[1][k]

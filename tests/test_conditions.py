@@ -183,3 +183,43 @@ def test_lagarias_scan_shape():
     ]
     with pytest.raises(ParameterError):
         wp.lagarias_scan(wp.figure1(), 1)
+
+
+def test_batteries_make_one_walk_pass(monkeypatch, capsys):
+    import walkparadox.cli as cli
+    from walkparadox import conditions, spectral
+
+    passes = []
+    walk_sums = spectral._walk_sums
+
+    def counted(g, kmax, mixed=False):
+        passes.append((kmax, mixed))
+        return walk_sums(g, kmax, mixed)
+
+    monkeypatch.setattr(spectral, "_walk_sums", counted)
+    monkeypatch.setattr(conditions, "_walk_sums", counted)
+
+    assert len(wp.lagarias_scan(wp.figure1(), 8)) == 16
+    assert passes == [(8, False)]
+
+    passes.clear()
+    assert cli.run(["conditions", "--family", "figure1", "--max-k", "8"]) == 0
+    assert passes == [(9, False)]
+
+    # --mixed adds the mixed-sum pass and nothing else
+    passes.clear()
+    assert cli.run(["conditions", "--family", "figure1", "--max-k", "8", "--mixed"]) == 0
+    assert passes == [(8, True), (9, False)]
+    capsys.readouterr()
+
+
+def test_batteries_match_single_order_checks():
+    from walkparadox.conditions import growth_checks
+
+    for g in (wp.star_undirected(6), wp.figure1()):
+        pairs = [(r, t - r) for t in range(2, 7) for r in range(1, t // 2 + 1)]
+        assert wp.lagarias_scan(g, 6) == [wp.check_lagarias(g, r, s) for r, s in pairs]
+        assert growth_checks(g, range(1, 6)) == [wp.check_walk_growth(g, k)
+                                                 for k in range(1, 6)]
+        assert growth_checks(g, range(1, 6), mixed=True) == [
+            wp.check_mixed_walk_growth(g, k) for k in range(1, 6)]
