@@ -16,6 +16,7 @@ bytes, because nothing records time, hosts, or iteration noise.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections import Counter
@@ -88,6 +89,16 @@ def _add_measure_flags(p: argparse.ArgumentParser, default: str | None) -> None:
     p.add_argument("--alpha", type=float, help="attenuation for katz")
     p.add_argument("--beta", type=float, help="inverse temperature for total/odd/even")
     p.add_argument("--coeffs", help="comma-separated power-series coefficients c0,c1,...")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _family_spec(args) -> FamilySpec:
@@ -229,6 +240,8 @@ def _cmd_directed_paradox(args) -> int:
 
 
 def _cmd_conditions(args) -> int:
+    if args.max_k is not None and args.max_k < 1:
+        raise ParameterError("--max-k must be >= 1")
     g = _load_graph(args)
     reports: list = []
 
@@ -332,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("centrality", help="evaluate one node measure")
     _add_graph_source(p)
     _add_measure_flags(p, default=None)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_finite_float, default=None,
                    help="solver tolerance (measure-specific default)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_centrality)
@@ -342,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_flags(p, default="degree")
     p.add_argument("--mode", choices=("auto", "undirected", "out", "in"),
                    default="auto", help="which degrees weight the neighbour average")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="nonnegativity tolerance for the gap (default 1e-9)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_paradox)
@@ -350,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("directed-paradox",
                        help="all four out/in degree pairings on a directed graph")
     _add_graph_source(p)
-    p.add_argument("--tol", type=float, default=1e-12,
+    p.add_argument("--tol", type=_finite_float, default=1e-12,
                    help="nonnegativity tolerance (default 1e-12)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_directed_paradox)
@@ -377,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p)
     p.add_argument("--grid", type=int, default=20,
                    help="number of alpha grid points (default 20)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="violation threshold for the gap (default 1e-9)")
     _add_output_flags(p, formats=("json", "csv"))
     p.set_defaults(handler=_cmd_sweep)
@@ -404,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p)
     p.add_argument("--trials", type=int, default=20,
                    help="number of sampled graphs (default 20)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_finite_float, default=1e-9,
                    help="tolerance handed to each check (default 1e-9)")
     _add_output_flags(p)
     p.set_defaults(handler=_cmd_suite)

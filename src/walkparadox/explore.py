@@ -18,6 +18,7 @@ from .errors import ConvergenceError, GraphError, ParameterError, TheoremViolati
 from .generators import FamilySpec, enumerate_connected, make, make_connected
 from .graph import Graph, build, is_connected, is_regular, is_strongly_connected
 from .paradox import (
+    _check_tol,
     classic_friendship_paradox,
     directed_degree_report,
     paradox_report,
@@ -73,6 +74,7 @@ def katz_alpha_sweep(g: Graph, grid_size: int = 20, tol: float = 1e-9) -> SweepR
         raise GraphError("the sweep requires a connected graph")
     if grid_size < 2:
         raise ParameterError("grid_size must be >= 2")
+    _check_tol(tol)
     rho = dominant_eigenpair(g, tol=1e-10).eigenvalue
     alphas = tuple(j / ((grid_size + 1) * rho) for j in range(1, grid_size + 1))
     gaps = []
@@ -305,6 +307,7 @@ def random_theorem_suite(spec: FamilySpec, trials: int, tol: float = 1e-9) -> Su
     """
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    _check_tol(tol)
     checks = {
         "classic_paradox": 0,
         "eigenvector_paradox": 0,

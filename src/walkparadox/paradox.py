@@ -17,6 +17,7 @@ Fraction, so textbook values like 2 and 2.625 come out as the rationals
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,6 +121,11 @@ def _sampler(g: Graph, mode: str) -> Graph:
     return _oriented(g, mode)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:
+        raise ParameterError(f"tol must be finite and nonnegative: {tol!r}")
+
+
 def node_average(x) -> float:
     """Plain mean of a nonnegative attribute."""
     values = _values(x)
@@ -200,8 +206,7 @@ def _float_report(g, d, values, mode, label, tol) -> ParadoxReport:
 
 def paradox_report(g: Graph, x, mode: str = "undirected", tol: float = 1e-9) -> ParadoxReport:
     """Full evaluation of the generalized paradox for attribute x."""
-    if tol < 0:
-        raise ParameterError("tol must be nonnegative")
+    _check_tol(tol)
     values = _check_attribute(g, x)
     sampler = _sampler(g, mode)
     label = getattr(x, "label", "") or "attribute"

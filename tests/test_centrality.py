@@ -120,3 +120,10 @@ def test_katz_eigenvector_limit_check():
     assert left.final_similarity >= 1.0 - 1e-6
     with pytest.raises(ParameterError, match="side"):
         wp.katz_eigenvector_limit_check(wp.figure1(), side="middle")
+
+
+def test_katz_degree_limit_rejects_unknown_direction():
+    with pytest.raises(ParameterError, match="unknown direction"):
+        wp.katz_degree_limit_check(wp.figure1(), direction="sideways")
+    with pytest.raises(GraphError, match="broadcast or receive"):
+        wp.katz_degree_limit_check(wp.hub_cycle(5), direction="undirected")

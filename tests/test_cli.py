@@ -265,3 +265,26 @@ def test_provenance_records_argv(capsys):
     assert code == 0
     assert doc["provenance"]["command"] == argv
     assert doc["provenance"]["version"] == wp.__version__
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+@pytest.mark.parametrize("argv", [
+    ["suite", "--family", "erdos_renyi", "--n", "8", "--p", "0.5"],
+    ["paradox", "--family", "figure1"],
+    ["directed-paradox", "--family", "hub_cycle", "--n", "5"],
+    ["sweep", "--family", "figure1", "--grid", "3"],
+    ["centrality", "--family", "figure1", "--measure", "katz"],
+])
+def test_non_finite_tol_is_a_usage_error(argv, value, capsys):
+    assert cli.run([*argv, f"--tol={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("depth", ["0", "-3"])
+def test_conditions_rejects_nonpositive_max_k(depth, capsys):
+    assert cli.run(["conditions", "--family", "figure1", "--max-k", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-k must be >= 1" in captured.err

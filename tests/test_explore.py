@@ -157,3 +157,17 @@ def test_suite_on_directed_family():
     assert summary.checks.get("spectral_condition", 0) <= 6
     with pytest.raises(ParameterError, match="trials"):
         random_theorem_suite(spec, trials=0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_harnesses_reject_non_finite_tolerances(tol, monkeypatch):
+    # rejected before any work: no eigenpair and no sample is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before tol was checked")
+
+    monkeypatch.setattr(wp.explore, "dominant_eigenpair", refuse)
+    monkeypatch.setattr(wp.explore, "make", refuse)
+    with pytest.raises(ParameterError, match="tol"):
+        katz_alpha_sweep(wp.figure1(), tol=tol)
+    with pytest.raises(ParameterError, match="tol"):
+        random_theorem_suite(FamilySpec("erdos_renyi", n=8, p=0.5), trials=2, tol=tol)

@@ -181,3 +181,12 @@ def test_directed_corpus_exact_nonnegative(directed_corpus):
         rep = wp.directed_degree_report(g)
         assert rep.reports["out_out"].exact["gap"] >= 0
         assert rep.reports["in_in"].exact["gap"] >= 0
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf"), -1e-9])
+def test_paradox_report_rejects_bad_tolerances(tol):
+    g = wp.figure1()
+    with pytest.raises(ParameterError, match="tol"):
+        wp.paradox_report(g, wp.degree_vector(g), tol=tol)
+    with pytest.raises(ParameterError, match="tol"):
+        wp.directed_degree_report(wp.hub_cycle(5), tol=tol)
