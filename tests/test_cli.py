@@ -288,3 +288,61 @@ def test_conditions_rejects_nonpositive_max_k(depth, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--max-k must be >= 1" in captured.err
+
+
+# One argv per document subcommand, plus both CSV formats.
+_DOCUMENT_ARGVS = {
+    "centrality": ["centrality", "--family", "figure1", "--measure", "eigenvector"],
+    "paradox": ["paradox", "--family", "hub_cycle", "--n", "10", "--measure", "katz"],
+    "directed-paradox": ["directed-paradox", "--family", "hub_cycle", "--n", "10"],
+    "conditions": ["conditions", "--family", "figure1", "--scan", "4"],
+    "sweep": ["sweep", "--family", "figure1", "--grid", "5"],
+    "sweep-csv": ["sweep", "--family", "figure1", "--grid", "5", "--format", "csv"],
+    "search": ["search", "--family", "erdos_renyi", "--n", "8", "--p", "0.5", "--seed", "1",
+               "--r", "1", "--s", "2", "--trials", "6"],
+    "search-csv": ["search", "--family", "erdos_renyi", "--n", "8", "--p", "0.5",
+                   "--seed", "1", "--r", "1", "--s", "2", "--trials", "6",
+                   "--format", "csv"],
+    "search-exhaustive": ["search", "--exhaustive", "--max-n", "4", "--r", "1", "--s", "2"],
+    "enumerate": ["enumerate", "--max-n", "4"],
+    "suite": ["suite", "--family", "erdos_renyi", "--n", "10", "--p", "0.4", "--seed", "2",
+              "--trials", "3"],
+}
+
+
+def _expected_file_text(stdout: str, argv) -> str:
+    """The stdout bytes as they read with argv in provenance.command.
+
+    CSV tables carry no argv and are expected unchanged.  A document is
+    re-encoded, after checking that re-encoding it unchanged gives back
+    the exact stdout bytes.
+    """
+    if "--format" in argv:
+        return stdout
+    doc = json.loads(stdout)
+    assert wp.canonical_json(doc) == stdout
+    doc["provenance"]["command"] = list(argv)
+    return wp.canonical_json(doc)
+
+
+@pytest.mark.parametrize("name", sorted(_DOCUMENT_ARGVS))
+def test_out_file_gets_the_stdout_bytes(name, tmp_path, capsys):
+    argv = _DOCUMENT_ARGVS[name]
+    code = cli.run(argv)
+    stdout = capsys.readouterr().out
+    assert stdout
+    target = tmp_path / "result.txt"
+    out_argv = [*argv, "--out", str(target)]
+    assert cli.run(out_argv) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == _expected_file_text(stdout, out_argv).encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["paradox", "sweep-csv"])
+def test_unwritable_out_is_a_usage_error(name, tmp_path, capsys):
+    target = tmp_path / "missing" / "result.txt"
+    assert cli.run([*_DOCUMENT_ARGVS[name], "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert not target.parent.exists()
