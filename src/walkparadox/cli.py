@@ -136,15 +136,6 @@ def _write_text(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _emit(args, doc: dict, csv_text: str | None = None) -> None:
-    if getattr(args, "format", "json") == "csv":
-        if csv_text is None:
-            raise ParameterError("csv format applies to sweep and search only")
-        _write_text(csv_text, args.out)
-        return
-    _write_text(canonical_json(doc), args.out)
-
-
 def _seed_of(args):
     return args.seed if getattr(args, "family", None) is not None else None
 
@@ -188,7 +179,9 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_centrality(args) -> int:
+# The document commands below return (graph or None, reports, exit code,
+# CSV text or None); run() alone turns that into the one output written.
+def _cmd_centrality(args) -> tuple:
     g = _load_graph(args)
     direction = args.direction
     if direction == "auto":
@@ -196,17 +189,12 @@ def _cmd_centrality(args) -> int:
     if args.measure == "eigenvector":
         result = dominant_eigenpair(g, side=_side(g, direction),
                                     tol=1e-10 if args.tol is None else args.tol)
-        payloads = [result]
     else:
-        spec = _measure_spec(args, direction, tol=args.tol)
-        payloads = [compute(g, spec)]
-    doc = document(args.argv, g, payloads, seed=_seed_of(args),
-                   tolerances={"tol": args.tol})
-    _emit(args, doc)
-    return 0
+        result = compute(g, _measure_spec(args, direction, tol=args.tol))
+    return g, [result], 0, None
 
 
-def _cmd_paradox(args) -> int:
+def _cmd_paradox(args) -> tuple:
     g = _load_graph(args)
     mode = args.mode
     if mode == "auto":
@@ -224,22 +212,16 @@ def _cmd_paradox(args) -> int:
             direction = "receive" if mode == "out" else "broadcast"
     x = compute(g, _measure_spec(args, direction))
     rep = paradox_report(g, x, mode=mode, tol=args.tol)
-    doc = document(args.argv, g, [rep], seed=_seed_of(args),
-                   tolerances={"tol": args.tol})
-    _emit(args, doc)
-    return 0 if rep.holds else 1
+    return g, [rep], 0 if rep.holds else 1, None
 
 
-def _cmd_directed_paradox(args) -> int:
+def _cmd_directed_paradox(args) -> tuple:
     g = _load_graph(args)
     rep = directed_degree_report(g, tol=args.tol)
-    doc = document(args.argv, g, [rep], seed=_seed_of(args),
-                   tolerances={"tol": args.tol})
-    _emit(args, doc)
-    return 0 if all(r.holds for r in rep.reports.values()) else 1
+    return g, [rep], 0 if all(r.holds for r in rep.reports.values()) else 1, None
 
 
-def _cmd_conditions(args) -> int:
+def _cmd_conditions(args) -> tuple:
     if args.max_k is not None and args.max_k < 1:
         raise ParameterError("--max-k must be >= 1")
     g = _load_graph(args)
@@ -269,41 +251,32 @@ def _cmd_conditions(args) -> int:
         reports.append({"type": "first_order_term",
                         "value": first_order_in_degree_term(g)})
 
-    doc = document(args.argv, g, reports, seed=_seed_of(args))
-    _emit(args, doc)
     failed = any(getattr(r, "holds", True) is False for r in reports)
-    return 1 if failed else 0
+    return g, reports, 1 if failed else 0, None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     g = _load_graph(args)
     res = katz_alpha_sweep(g, grid_size=args.grid, tol=args.tol)
-    doc = document(args.argv, g, [res], seed=_seed_of(args),
-                   tolerances={"tol": args.tol})
-    _emit(args, doc, csv_text=sweep_csv(res))
-    return 1 if res.violations else 0
+    return g, [res], 1 if res.violations else 0, sweep_csv(res)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple:
     if args.exhaustive:
         if args.family is not None:
             raise ParameterError("--exhaustive replaces --family")
         if args.max_n is None:
             raise ParameterError("--exhaustive requires --max-n")
         res = exhaustive_lagarias_search(args.max_n, args.r, args.s)
-        seed = None
     else:
         if args.family is None:
             raise ParameterError("search requires --family or --exhaustive")
         res = search_lagarias_violation(_family_spec(args), args.r, args.s,
                                         trials=args.trials)
-        seed = args.seed
-    doc = document(args.argv, None, [res], seed=seed)
-    _emit(args, doc, csv_text=search_csv(res))
-    return 1 if res.violations else 0
+    return None, [res], 1 if res.violations else 0, search_csv(res)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple:
     counts = Counter(g.n for g in enumerate_connected(args.max_n))
     payload = {
         "type": "enumeration",
@@ -311,19 +284,14 @@ def _cmd_enumerate(args) -> int:
         "counts": {str(n): counts[n] for n in sorted(counts)},
         "total": sum(counts.values()),
     }
-    doc = document(args.argv, None, [payload])
-    _emit(args, doc)
-    return 0
+    return None, [payload], 0, None
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple:
     if args.family is None:
         raise ParameterError("suite requires --family")
     res = random_theorem_suite(_family_spec(args), trials=args.trials, tol=args.tol)
-    doc = document(args.argv, None, [res], seed=args.seed,
-                   tolerances={"tol": args.tol})
-    _emit(args, doc)
-    return 1 if res.failures else 0
+    return None, [res], 1 if res.failures else 0, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,9 +403,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    args.argv = argv
     try:
-        return args.handler(args)
+        outcome = args.handler(args)
+        if isinstance(outcome, int):  # generate wrote its edge list itself
+            return outcome
+        g, reports, code, csv_text = outcome
+        if args.format == "csv":
+            text = csv_text
+        else:
+            tolerances = {"tol": args.tol} if hasattr(args, "tol") else {}
+            text = canonical_json(document(argv, g, reports, seed=_seed_of(args),
+                                           tolerances=tolerances))
+        _write_text(text, args.out)
+        return code
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)
         if exc.dump:

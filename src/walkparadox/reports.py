@@ -146,20 +146,12 @@ def graph_summary(g: Graph) -> dict:
         "directed": g.directed,
         "weighted": not g.unweighted,
     }
-    if g.directed:
-        out_reg, out_deg = is_regular(g, "out")
-        in_reg, in_deg = is_regular(g, "in")
-        summary["regular_out"] = out_reg
-        summary["regular_in"] = in_reg
-        if out_reg:
-            summary["common_out_degree"] = float(out_deg)
-        if in_reg:
-            summary["common_in_degree"] = float(in_deg)
-    else:
-        reg, deg = is_regular(g)
-        summary["regular"] = reg
+    sides = (("_out", "out"), ("_in", "in")) if g.directed else (("", "undirected"),)
+    for suffix, side in sides:
+        reg, deg = is_regular(g, side)
+        summary[f"regular{suffix}"] = reg
         if reg:
-            summary["common_degree"] = float(deg)
+            summary[f"common{suffix}_degree"] = float(deg)
     return summary
 
 

@@ -97,6 +97,8 @@ def _start_vector(n: int) -> list[float]:
     return [v * (n / s) for v in raw]
 
 
+# Both power iterations return their best iterate (residual, x, eigenvalue,
+# iteration) and stop at the first one within tol, which is also the best.
 def _power_iteration_small(g: Graph, tol: float, max_iter: int):
     n = g.n
     ptr = g.indptr.tolist()
@@ -130,14 +132,14 @@ def _power_iteration_small(g: Graph, tol: float, max_iter: int):
             d = z[i] - lam * x[i]
             rr += d * d
         res = math.sqrt(rr)
-        if res <= tol:
-            return lam - 1.0, x, res, it
         if res < best[0]:
-            best = (res, list(x), lam - 1.0, it)
+            best = (res, x, lam - 1.0, it)
+            if res <= tol:
+                break
         s = sum(z)
         scale = n / s
         x = [v * scale for v in z]
-    return None, best, None, max_iter
+    return best
 
 
 def _power_iteration_large(g: Graph, tol: float, max_iter: int):
@@ -148,12 +150,12 @@ def _power_iteration_large(g: Graph, tol: float, max_iter: int):
         z = _matvec(g, x) + x
         lam = float(x @ z) / float(x @ x)
         res = float(np.linalg.norm(z - lam * x))
-        if res <= tol:
-            return lam - 1.0, x.tolist(), res, it
         if res < best[0]:
-            best = (res, x.copy(), lam - 1.0, it)
+            best = (res, x, lam - 1.0, it)
+            if res <= tol:
+                break
         x = z * (n / float(z.sum()))
-    return None, best, None, max_iter
+    return best
 
 
 def dominant_eigenpair(
@@ -177,24 +179,15 @@ def dominant_eigenpair(
     if max_iter is None:
         max_iter = 100 * g.n + 1000
     runner = _power_iteration_small if g.n <= _SMALL_N else _power_iteration_large
-    lam, payload, res, iters = runner(work, tol, max_iter)
-    if lam is not None:
-        vec = NodeVector(payload, f"eigenvector[{side}]")
-        return EigenResult(lam, vec, side, res, iters)
-    best_res, best_x, best_lam, best_it = payload
-    best = None
-    if best_x is not None:
-        best = EigenResult(
-            best_lam,
-            NodeVector(best_x, f"eigenvector[{side}]"),
-            side,
-            best_res,
-            best_it,
-        )
+    res, x, lam, iters = runner(work, tol, max_iter)
+    best = None if x is None else EigenResult(
+        lam, NodeVector(x, f"eigenvector[{side}]"), side, res, iters)
+    if res <= tol:
+        return best
     raise ConvergenceError(
         f"power iteration did not reach residual {tol:g} in {max_iter} steps "
-        f"(best {best_res:.3g})",
-        residual=best_res,
+        f"(best {res:.3g})",
+        residual=res,
         best=best,
     )
 
