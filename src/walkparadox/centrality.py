@@ -21,6 +21,7 @@ from .errors import ParameterError
 from .graph import Graph, NodeVector, _oriented, _side, out_degree_vector
 from .spectral import (
     SeriesCoefficients,
+    _check_solver_tol,
     dominant_eigenpair,
     even_action,
     exp_action,
@@ -75,8 +76,8 @@ class CentralitySpec:
             raise ParameterError("alpha must be positive and finite")
         if self.beta is not None and not (float(self.beta) > 0 and math.isfinite(self.beta)):
             raise ParameterError("beta must be positive and finite")
-        if self.tol is not None and not float(self.tol) > 0:
-            raise ParameterError("tol must be positive")
+        if self.tol is not None:
+            _check_solver_tol(self.tol)
 
 
 def compute(g: Graph, spec: CentralitySpec) -> NodeVector:

@@ -60,6 +60,12 @@ _SMALL_N = 32
 _TAYLOR_CAP = 20_000
 
 
+def _check_solver_tol(tol) -> None:
+    # an infinite tolerance would accept the first iterate as an answer
+    if not 0 < float(tol) < math.inf:
+        raise ParameterError(f"tol must be positive and finite: {tol!r}")
+
+
 def _matvec(g: Graph, x: np.ndarray) -> np.ndarray:
     """A @ x over the stored arcs."""
     return np.bincount(g.rows, weights=g.weights * x[g.indices], minlength=g.n)
@@ -170,8 +176,7 @@ def dominant_eigenpair(
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right': {side!r}")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    _check_solver_tol(tol)
     if not is_strongly_connected(g):
         raise GraphError("irreducibility required: graph is not (strongly) connected")
 
@@ -222,8 +227,7 @@ def katz_action(
     alpha = float(alpha)
     if not (alpha > 0 and math.isfinite(alpha)):
         raise ParameterError("alpha must be positive and finite")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    _check_solver_tol(tol)
     rho = spectral_radius_estimate(g) if spectral_radius is None else float(spectral_radius)
     if alpha * rho > 1.0 - _ALPHA_MARGIN:
         raise ParameterError(
@@ -289,8 +293,7 @@ def _taylor_action(
     beta = float(beta)
     if not (beta > 0 and math.isfinite(beta)):
         raise ParameterError("beta must be positive and finite")
-    if not tol > 0:
-        raise ParameterError("tol must be positive")
+    _check_solver_tol(tol)
     term = np.ones(g.n)
     total = term.copy() if parity in (None, 0) else np.zeros(g.n)
     # Terms grow until k ~ beta * max row sum; never trust the tolerance

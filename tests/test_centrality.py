@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +46,12 @@ def test_spec_validation():
     # plain tuples are coerced
     spec = CentralitySpec("power_series", coeffs=(1.0, 2.0))
     assert spec.coeffs.values == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0])
+def test_spec_rejects_tol_outside_the_positive_reals(tol):
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        CentralitySpec("katz", tol=tol)
 
 
 @given(graphs(max_n=7, directed=True, weighted=True))

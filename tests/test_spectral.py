@@ -283,3 +283,18 @@ def test_large_int_walk_counts_stay_exact():
     g = wp.complete(60)
     counts = wp.walk_counts_through(g, 60)
     assert counts[60] == 60 * 59**60
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("solve", [
+    lambda g, tol: wp.dominant_eigenpair(g, tol=tol),
+    lambda g, tol: wp.katz_action(g, 0.05, tol=tol),
+    lambda g, tol: wp.exp_action(g, 1.0, tol=tol),
+    lambda g, tol: wp.odd_action(g, 1.0, tol=tol),
+    lambda g, tol: wp.even_action(g, 1.0, tol=tol),
+], ids=["eigen", "katz", "exp", "odd", "even"])
+def test_solvers_reject_non_finite_tol(solve, tol):
+    # an infinite tol used to end the eigen solve after one step with
+    # eigenvalue 3.06 on this graph, where the true value is 8.99
+    with pytest.raises(ParameterError, match="tol must be positive and finite"):
+        solve(wp.barabasi_albert(200, 2, seed=1), tol)
