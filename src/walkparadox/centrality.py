@@ -98,10 +98,11 @@ def compute(g: Graph, spec: CentralitySpec) -> NodeVector:
         return NodeVector(result.vector.values, f"eigenvector[{spec.direction}]")
 
     if kind == "katz":
-        alpha = spec.alpha
+        alpha, rho = spec.alpha, None
         if alpha is None:
-            alpha = 0.5 / spectral_radius_estimate(work)
-        vec = katz_action(work, alpha, tol=spec.tol or 1e-12)
+            rho = spectral_radius_estimate(work)
+            alpha = 0.5 / rho
+        vec = katz_action(work, alpha, tol=spec.tol or 1e-12, spectral_radius=rho)
         return NodeVector(vec.values, f"katz[alpha={alpha:.6g},{spec.direction}]")
 
     if kind in ("total", "odd", "even"):
@@ -130,8 +131,8 @@ def katz_degree_limit_check(g: Graph, direction: str = "undirected", alphas=None
     relative to its largest entry; they must shrink as alpha does.
     """
     work = _oriented(g, direction)
+    rho = spectral_radius_estimate(work)
     if alphas is None:
-        rho = spectral_radius_estimate(work)
         alphas = (0.1 / rho, 0.01 / rho, 0.001 / rho)
     alphas = tuple(float(a) for a in alphas)
     if any(b >= a for a, b in zip(alphas, alphas[1:])):
@@ -140,7 +141,7 @@ def katz_degree_limit_check(g: Graph, direction: str = "undirected", alphas=None
     scale = float(np.abs(d).max())
     deviations = []
     for a in alphas:
-        x = katz_action(work, a, tol=1e-12)
+        x = katz_action(work, a, tol=1e-12, spectral_radius=rho)
         deviations.append(float(np.abs((x.values - 1.0) / a - d).max()) / scale)
     dec = all(b < a for a, b in zip(deviations, deviations[1:]))
     return KatzDegreeDiagnostic(direction, alphas, tuple(deviations), max(deviations), dec)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import walkparadox as wp
+import walkparadox.spectral as spectral
 from walkparadox import CentralitySpec, compute_centrality
 from walkparadox.errors import GraphError, ParameterError
 
@@ -128,6 +129,25 @@ def test_katz_eigenvector_limit_check():
     assert left.final_similarity >= 1.0 - 1e-6
     with pytest.raises(ParameterError, match="side"):
         wp.katz_eigenvector_limit_check(wp.figure1(), side="middle")
+
+
+def test_one_eigen_solve_per_katz_request(monkeypatch):
+    calls = []
+    solve = spectral.dominant_eigenpair
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "dominant_eigenpair", counted)
+    compute_centrality(wp.figure1(), CentralitySpec("katz"))
+    assert calls == [8]
+    calls.clear()
+    wp.katz_degree_limit_check(wp.figure1())
+    assert calls == [8]
+    calls.clear()
+    wp.katz_degree_limit_check(wp.figure1(), alphas=(0.1, 0.01))
+    assert calls == [8]
 
 
 def test_katz_degree_limit_rejects_unknown_direction():
