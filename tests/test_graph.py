@@ -191,6 +191,30 @@ def test_validate_graph_on_generators():
         validate_graph(g)
 
 
+@pytest.mark.parametrize("n,directed,indptr,indices,weights,message", [
+    (0, False, [0], [], [], "node count must be positive"),
+    (2, False, [0, 0, 0], [], [], "at least one edge"),
+    (2, True, [0, 1], [1], [1.0], "malformed indptr"),
+    (3, True, [0, 2, 1, 2], [1, 2], [1.0, 1.0], "indptr must be nondecreasing"),
+    (2, True, [0, 1, 1], [1], [1.0, 1.0], "indices and weights must align"),
+    (2, True, [0, 1, 1], [2], [1.0], "arc target out of range"),
+    (2, True, [0, 1, 1], [1], [0.0], "weights must be positive and finite"),
+    (2, True, [0, 1, 2], [0, 0], [1.0, 1.0], "self-loop stored"),
+    (2, True, [0, 2, 2], [1, 1], [1.0, 1.0], "duplicate arc stored"),
+    (3, True, [0, 2, 2, 2], [2, 1], [1.0, 1.0], "row 0 targets not strictly increasing"),
+    (3, False, [0, 1, 2, 2], [1, 2], [1.0, 1.0], "not symmetric"),
+    (2, False, [0, 1, 2], [1, 0], [1.0, 2.0], "not symmetric"),
+], ids=["no-nodes", "no-arcs", "indptr-shape", "indptr-decreasing", "misaligned-weights",
+        "target-out-of-range", "bad-weight", "self-loop", "duplicate-arc",
+        "row-not-increasing", "missing-reverse-arc", "asymmetric-weight"])
+def test_validate_graph_rejects_hand_built_storage(n, directed, indptr, indices, weights,
+                                                   message):
+    g = wp.Graph(n, directed, np.array(indptr), np.array(indices, dtype=np.int64),
+                 np.array(weights, dtype=float))
+    with pytest.raises(GraphError, match=message):
+        validate_graph(g)
+
+
 def test_graph_equality_and_repr():
     a = wp.path(3)
     b = wp.build(3, [(1, 2), (0, 1)])
