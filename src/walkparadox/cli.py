@@ -110,11 +110,15 @@ def _load_graph(args) -> Graph:
     if args.graph is not None and args.family is not None:
         raise ParameterError("give --graph or --family, not both")
     if args.graph is not None:
-        if args.graph == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.graph, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        try:
+            if args.graph == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.graph, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphError(f"{args.graph}: not UTF-8 text ({exc.reason} "
+                             f"at byte {exc.start})") from None
         return parse_edge_list(text, one_based=args.one_based)
     if args.family is not None:
         return make(_family_spec(args))
@@ -126,14 +130,6 @@ def _resolve_out(path: str) -> str:
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
     return path
-
-
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(_resolve_out(out), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
 
 
 def _seed_of(args):
@@ -161,7 +157,10 @@ def _measure_spec(args, direction: str, tol: float | None = None) -> CentralityS
     )
 
 
-def _cmd_generate(args) -> int:
+# Each handler returns (graph or None, reports, exit code, text or None);
+# run() alone writes the one output: the JSON document of the reports
+# under --format json, the text otherwise (edge list or CSV table).
+def _cmd_generate(args) -> tuple:
     spec = _family_spec(args) if args.family else None
     if spec is None:
         raise ParameterError("generate requires --family")
@@ -174,13 +173,9 @@ def _cmd_generate(args) -> int:
         g = make(spec)
         note.append(f"seed={spec.seed}")
     comment = " ".join([f"family={spec.family}"] + note)
-    _write_text(format_edge_list(g, one_based=args.one_based, comments=(comment,)),
-                args.out)
-    return 0
+    return g, [], 0, format_edge_list(g, one_based=args.one_based, comments=(comment,))
 
 
-# The document commands below return (graph or None, reports, exit code,
-# CSV text or None); run() alone turns that into the one output written.
 def _cmd_centrality(args) -> tuple:
     g = _load_graph(args)
     direction = args.direction
@@ -404,17 +399,16 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        outcome = args.handler(args)
-        if isinstance(outcome, int):  # generate wrote its edge list itself
-            return outcome
-        g, reports, code, csv_text = outcome
-        if args.format == "csv":
-            text = csv_text
-        else:
+        g, reports, code, text = args.handler(args)
+        if getattr(args, "format", None) == "json":
             tolerances = {"tol": args.tol} if hasattr(args, "tol") else {}
             text = canonical_json(document(argv, g, reports, seed=_seed_of(args),
                                            tolerances=tolerances))
-        _write_text(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(_resolve_out(args.out), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
         return code
     except TheoremViolationError as exc:
         print(f"theorem violation: {exc}", file=sys.stderr)

@@ -24,13 +24,14 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
     directed = False
     declared = None
     edges = []
-    lines_seen = 0
+    first_at = {}
+    top = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("%"):
-            if lines_seen:
+            if edges:
                 raise GraphError(f"line {lineno}: directives must precede all edges")
             directive = line[1:].strip().lower()
             tokens = directive.split()
@@ -69,31 +70,28 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
             raise GraphError(f"line {lineno}: negative node id")
         if s == t:
             raise GraphError(f"self-loop at line {lineno}")
-        edges.append((lineno, s, t, w))
-        lines_seen += 1
+        # build() would reject these too, but without the line number
+        key = (s, t) if directed or s < t else (t, s)
+        if key in first_at:
+            raise GraphError(f"line {lineno}: duplicate edge ({s}, {t}), "
+                             f"first at line {first_at[key]}")
+        first_at[key] = lineno
+        if w <= 0:
+            raise GraphError(f"line {lineno}: nonpositive weight")
+        if not math.isfinite(w):
+            raise GraphError(f"line {lineno}: non-finite weight")
+        edges.append((s, t, w))
+        top = max(top, s, t)
 
     if not edges:
         raise GraphError("no edges in input")
-    n = max(max(s, t) for _, s, t, _ in edges) + 1
+    n = top + 1
     if declared is not None:
         if declared < n:
             raise GraphError(f"%nodes {declared} is smaller than the ids used "
                              f"(max id {n - 1})")
         n = declared
-
-    # Re-detect build()-level rejections line by line so the message can
-    # point at the offender.
-    seen = {}
-    for lineno, s, t, w in edges:
-        key = (s, t) if directed else (min(s, t), max(s, t))
-        if key in seen:
-            raise GraphError(f"line {lineno}: duplicate edge ({s}, {t}), first at line {seen[key]}")
-        seen[key] = lineno
-        if w <= 0:
-            raise GraphError(f"line {lineno}: nonpositive weight")
-        if not math.isfinite(w):
-            raise GraphError(f"line {lineno}: non-finite weight")
-    return build(n, [(s, t, w) for _, s, t, w in edges], directed=directed)
+    return build(n, edges, directed=directed)
 
 
 def format_edge_list(g: Graph, one_based: bool = False, comments=()) -> str:
@@ -107,14 +105,9 @@ def format_edge_list(g: Graph, one_based: bool = False, comments=()) -> str:
         out.append("%directed")
     if one_based:
         out.append("%one-based")
-    used = 1 + max(max(s, t) for s, t, _ in g.edges())
-    if g.n > used:
+    if g.n > 1 + max(int(g.rows[-1]), int(g.indices.max())):
         out.append(f"%nodes {g.n}")
     shift = 1 if one_based else 0
-    weighted = not g.unweighted
-    for s, t, w in g.edges():
-        if weighted:
-            out.append(f"{s + shift} {t + shift} {w!r}")
-        else:
-            out.append(f"{s + shift} {t + shift}")
+    line = "{} {}" if g.unweighted else "{} {} {!r}"
+    out.extend(line.format(s + shift, t + shift, w) for s, t, w in g.edges())
     return "\n".join(out) + "\n"

@@ -16,7 +16,7 @@ mixed-paradox examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from .errors import GraphError, ParameterError
@@ -253,19 +253,14 @@ def make_connected(spec: FamilySpec, max_attempts: int = 1000):
     (graph, attempts_used); deterministic families either pass on the
     first try or fail immediately.
     """
-    fn, needed = _FAMILIES[spec.family]
-    if "seed" not in needed:
+    if "seed" not in _FAMILIES[spec.family][1]:
         g = make(spec)
         if not is_connected(g):
             raise GraphError(f"family {spec.family!r} is not connected")
         return g, 1
     for attempt in range(max_attempts):
-        args = [
-            derive_seed(spec.seed, attempt) if name == "seed" else getattr(spec, name)
-            for name in needed
-        ]
         try:
-            g = fn(*args)
+            g = make(replace(spec, seed=derive_seed(spec.seed, attempt)))
         except GraphError:
             continue  # empty sample; redraw
         if is_connected(g):

@@ -14,6 +14,7 @@ in the modules that care.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -35,6 +36,9 @@ __all__ = [
     "transpose",
     "validate_graph",
 ]
+
+# Largest node count whose ids fit the int64 index arrays.
+_MAX_NODES = np.iinfo(np.int64).max
 
 # Relative spread below which weighted degrees count as equal.
 _REGULAR_RTOL = 1e-12
@@ -123,23 +127,7 @@ class Graph:
         """Arc-reversed graph; an undirected graph is its own reverse."""
         if not self.directed:
             return self
-        order = np.lexsort((self.rows, self.indices))
-        new_rows = self.indices[order]
-        new_indices = self.rows[order]
-        new_weights = self.weights[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(new_rows, minlength=self.n), out=indptr[1:])
-        return Graph(self.n, True, indptr, new_indices, new_weights)
-
-    @cached_property
-    def _linked_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours ignoring direction (for weak-connectivity walks)."""
-        if not self.directed:
-            return self.out_lists
-        merged = [set(nbrs) for nbrs in self.out_lists]
-        for nbrs, extra in zip(self.reverse.out_lists, merged):
-            extra.update(nbrs)
-        return tuple(tuple(sorted(s)) for s in merged)
+        return _csr(self.n, True, self.indices, self.rows, self.weights)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """All stored arcs as (source, target, weight)."""
@@ -186,6 +174,8 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise GraphError("node count must be a positive integer")
     n = int(n)
+    if n > _MAX_NODES:
+        raise GraphError(f"node count {n} exceeds the int64 id range")
 
     src: list[int] = []
     dst: list[int] = []
@@ -209,7 +199,7 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         if s == t:
             raise GraphError(f"self-loop at node {s}")
         w = float(w)
-        if not np.isfinite(w) or w <= 0.0:
+        if not math.isfinite(w) or w <= 0.0:
             raise GraphError(f"nonpositive or non-finite weight on edge ({s}, {t})")
         key = (s, t) if directed else (min(s, t), max(s, t))
         if key in seen:
@@ -226,13 +216,17 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
     if not src:
         raise GraphError("graph must contain at least one edge")
 
-    src_arr = np.asarray(src, dtype=np.int64)
-    dst_arr = np.asarray(dst, dtype=np.int64)
-    wts_arr = np.asarray(wts, dtype=np.float64)
-    order = np.lexsort((dst_arr, src_arr))
+    return _csr(n, bool(directed), np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64))
+
+
+def _csr(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
+         wts: np.ndarray) -> Graph:
+    """Sort (source, target, weight) arcs row-major into a CSR graph."""
+    order = np.lexsort((dst, src))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_arr, minlength=n), out=indptr[1:])
-    return Graph(n, bool(directed), indptr, dst_arr[order], wts_arr[order])
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return Graph(n, directed, indptr, dst[order], wts[order])
 
 
 def _row_sums(g: Graph) -> np.ndarray:
@@ -273,31 +267,35 @@ def int_in_degrees(g: Graph) -> list[int]:
     return np.diff(g.reverse.indptr).tolist()
 
 
-def _reaches_all(lists: Sequence[Sequence[int]], n: int) -> bool:
+def _reaches_all(n: int, *adjacency: Sequence[Sequence[int]]) -> bool:
+    """Whether node 0 reaches every node along the union of the adjacencies."""
     seen = bytearray(n)
     seen[0] = 1
     stack = [0]
     count = 1
     while stack:
         node = stack.pop()
-        for nbr in lists[node]:
-            if not seen[nbr]:
-                seen[nbr] = 1
-                count += 1
-                stack.append(nbr)
+        for lists in adjacency:
+            for nbr in lists[node]:
+                if not seen[nbr]:
+                    seen[nbr] = 1
+                    count += 1
+                    stack.append(nbr)
     return count == n
 
 
 def is_connected(g: Graph) -> bool:
     """Connectivity of the underlying undirected structure."""
-    return _reaches_all(g._linked_lists, g.n)
+    if not g.directed:
+        return _reaches_all(g.n, g.out_lists)
+    return _reaches_all(g.n, g.out_lists, g.reverse.out_lists)
 
 
 def is_strongly_connected(g: Graph) -> bool:
     """Every node reaches every other along directed arcs."""
     if not g.directed:
         return is_connected(g)
-    return _reaches_all(g.out_lists, g.n) and _reaches_all(g.reverse.out_lists, g.n)
+    return _reaches_all(g.n, g.out_lists) and _reaches_all(g.n, g.reverse.out_lists)
 
 
 def is_regular(g: Graph, orientation: str = "undirected"):
@@ -357,17 +355,19 @@ def validate_graph(g: Graph) -> None:
         raise GraphError("arc target out of range")
     if np.any(g.weights <= 0) or not np.all(np.isfinite(g.weights)):
         raise GraphError("weights must be positive and finite")
-    if np.any(g.rows == g.indices):
+    rows, cols = g.rows, g.indices
+    if np.any(rows == cols):
         raise GraphError("self-loop stored")
-    arcs = list(zip(g.rows.tolist(), g.indices.tolist()))
-    if len(set(arcs)) != len(arcs):
-        raise GraphError("duplicate arc stored")
-    for i in range(g.n):
-        row = g.indices[g.indptr[i]:g.indptr[i + 1]]
-        if np.any(np.diff(row) <= 0):
-            raise GraphError(f"row {i} targets not strictly increasing")
+    # rows is sorted, so a duplicate arc breaks strict increase in its row
+    bad = (rows[1:] == rows[:-1]) & (cols[1:] <= cols[:-1])
+    if bad.any():
+        order = np.lexsort((cols, rows))
+        r, c = rows[order], cols[order]
+        if np.any((r[1:] == r[:-1]) & (c[1:] == c[:-1])):
+            raise GraphError("duplicate arc stored")
+        raise GraphError(f"row {rows[1 + np.argmax(bad)]} targets not strictly increasing")
     if not g.directed:
-        forward = {(i, j): w for i, j, w in g.arcs()}
-        for (i, j), w in forward.items():
-            if forward.get((j, i)) != w:
-                raise GraphError("undirected storage is not symmetric")
+        order = np.lexsort((rows, cols))
+        if not (np.array_equal(cols[order], rows) and np.array_equal(rows[order], cols)
+                and np.array_equal(g.weights[order], g.weights)):
+            raise GraphError("undirected storage is not symmetric")

@@ -166,6 +166,18 @@ def test_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    b"0 1\n\xff 2\n",
+    b"0 100000000000000000000000000000\n",
+    b"%nodes 100000000000000000000000000000\n0 1\n",
+], ids=["not-utf8", "node-id-past-int64", "node-count-past-int64"])
+def test_malformed_edge_list_is_an_input_error(content, tmp_path, capsys):
+    f = tmp_path / "g.edges"
+    f.write_bytes(content)
+    assert cli.run(["paradox", "--graph", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_usage_errors_from_argparse(capsys):
     assert cli.run([]) == 2
     assert cli.run(["centrality", "--family", "figure1"]) == 2  # --measure required

@@ -65,6 +65,8 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("0 1\n2 2\n")
     with pytest.raises(GraphError, match=r"line 3: duplicate edge \(1, 0\), first at line 1"):
         parse_edge_list("0 1\n1 2\n1 0\n")
+    with pytest.raises(GraphError, match="line 2: duplicate edge"):  # first faulty line
+        parse_edge_list("0 1\n0 1\n2 2\n")
     with pytest.raises(GraphError, match="line 2: directives must precede"):
         parse_edge_list("0 1\n%directed\n")
     with pytest.raises(GraphError, match="line 1: unknown directive"):

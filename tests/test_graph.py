@@ -36,6 +36,8 @@ def test_build_rejects_malformed_edges():
         wp.build(3, [(2, 2)])
     with pytest.raises(GraphError, match="at least one edge"):
         wp.build(3, [])
+    with pytest.raises(GraphError, match="int64"):
+        wp.build(2**63, [(0, 1)])
 
 
 def test_build_rejects_duplicates_in_any_orientation():
@@ -123,6 +125,8 @@ def test_connectivity():
     assert wp.is_connected(wp.build(2, [(0, 1)]))
     # weak connectivity ignores arc direction
     assert wp.is_connected(wp.star_out(5))
+    assert wp.is_connected(wp.star_in(5))  # node 0 has no out-arcs
+    assert not wp.is_connected(wp.build(4, [(0, 1), (3, 2)], directed=True))
 
 
 def test_strong_connectivity():
@@ -182,6 +186,7 @@ def test_node_vector_validation():
 @settings(max_examples=80)
 def test_validate_graph_passes_on_built_graphs(g):
     validate_graph(g)
+    validate_graph(wp.transpose(g))
 
 
 def test_validate_graph_on_generators():
@@ -201,12 +206,15 @@ def test_validate_graph_on_generators():
     (2, True, [0, 1, 1], [1], [0.0], "weights must be positive and finite"),
     (2, True, [0, 1, 2], [0, 0], [1.0, 1.0], "self-loop stored"),
     (2, True, [0, 2, 2], [1, 1], [1.0, 1.0], "duplicate arc stored"),
+    (4, True, [0, 3, 3, 3, 3], [3, 1, 3], [1.0] * 3, "duplicate arc stored"),
     (3, True, [0, 2, 2, 2], [2, 1], [1.0, 1.0], "row 0 targets not strictly increasing"),
+    (3, True, [0, 1, 3, 3], [1, 2, 0], [1.0] * 3, "row 1 targets not strictly increasing"),
     (3, False, [0, 1, 2, 2], [1, 2], [1.0, 1.0], "not symmetric"),
     (2, False, [0, 1, 2], [1, 0], [1.0, 2.0], "not symmetric"),
 ], ids=["no-nodes", "no-arcs", "indptr-shape", "indptr-decreasing", "misaligned-weights",
         "target-out-of-range", "bad-weight", "self-loop", "duplicate-arc",
-        "row-not-increasing", "missing-reverse-arc", "asymmetric-weight"])
+        "non-adjacent-duplicate", "row-not-increasing", "later-row-not-increasing",
+        "missing-reverse-arc", "asymmetric-weight"])
 def test_validate_graph_rejects_hand_built_storage(n, directed, indptr, indices, weights,
                                                    message):
     g = wp.Graph(n, directed, np.array(indptr), np.array(indices, dtype=np.int64),
