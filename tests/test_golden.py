@@ -5,7 +5,8 @@ Each CLI case is an argv, an optional fixture fed on stdin through
 path) and the expected exit code; its stdout must equal
 ``tests/golden/<name>.out`` byte for byte.  Report objects the CLI cannot
 reach are checked the same way through ``canonical_json(payload(...))``
-against ``tests/golden/<name>.json``.
+against ``tests/golden/<name>.json``, and each script in ``demos/``, run
+in-process with no arguments, must print ``tests/golden/demo_<stem>.out``.
 
 The files pin the documents' layout and numbers on one machine; after a
 deliberate change, rewrite them with
@@ -18,6 +19,7 @@ and review the diff before committing it.
 from __future__ import annotations
 
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from walkparadox.explore import SearchOutcome, ViolationRecord
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 BA60 = ["--family", "barabasi_albert", "--n", "60", "--m", "2", "--seed", "3"]
 ER8 = ["--family", "erdos_renyi", "--n", "8", "--p", "0.5", "--seed", "1"]
@@ -44,7 +47,14 @@ CLI_CASES = {
     "paradox_power_series_weighted": (
         ["paradox", "--graph", "-", "--measure", "power-series", "--coeffs", "1,0.5,0.25"],
         "weighted_violator.edges", 0),
+    "paradox_degree_weighted": (["paradox", "--graph", "-", "--measure", "degree"],
+                                "weighted_violator.edges", 0),
+    "paradox_power_series_integer_figure1": (
+        ["paradox", "--family", "figure1", "--measure", "power-series", "--coeffs", "1,1,2"],
+        None, 0),
     "directed_paradox_hub_cycle": (["directed-paradox", "--graph", "-"], "hub_cycle_10.edges", 1),
+    "directed_paradox_weighted": (["directed-paradox", "--graph", "-"],
+                                  "weighted_hub_cycle.edges", 1),
     "conditions_max_k": (["conditions", "--family", "figure1", "--max-k", "3"], None, 0),
     "conditions_mixed_weighted": (["conditions", "--graph", "-", "--mixed"],
                                   "weighted_violator.edges", 1),
@@ -142,6 +152,27 @@ def test_payload_matches_golden(name):
     assert text.encode("utf-8") == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def _run_demo(stem):
+    """Run demos/<stem>.py in-process with no arguments; returns its stdout text."""
+    script = DEMOS / f"{stem}.py"
+    argv, stdout = sys.argv, sys.stdout
+    sys.argv, sys.stdout = [str(script)], io.StringIO()
+    try:
+        runpy.run_path(str(script), run_name="__main__")
+        return sys.stdout.getvalue()
+    finally:
+        sys.argv, sys.stdout = argv, stdout
+
+
+DEMO_CASES = sorted(p.stem for p in DEMOS.glob("*.py"))
+
+
+@pytest.mark.parametrize("stem", DEMO_CASES)
+def test_demo_output_matches_golden(stem):
+    text = _run_demo(stem)
+    assert text.encode("utf-8") == (GOLDEN / f"demo_{stem}.out").read_bytes()
+
+
 def _rewrite() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (argv, fixture, expected_code) in sorted(CLI_CASES.items()):
@@ -152,6 +183,8 @@ def _rewrite() -> None:
     for name, make_report in sorted(PAYLOAD_CASES.items()):
         text = canonical_json(payload(make_report()))
         (GOLDEN / f"{name}.json").write_bytes(text.encode("utf-8"))
+    for stem in DEMO_CASES:
+        (GOLDEN / f"demo_{stem}.out").write_bytes(_run_demo(stem).encode("utf-8"))
 
 
 if __name__ == "__main__":
