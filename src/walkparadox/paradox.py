@@ -18,6 +18,7 @@ Fraction, so textbook values like 2 and 2.625 come out as the rationals
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,6 @@ from .graph import (
     _oriented,
     degree_vector,
     in_degree_vector,
-    int_in_degrees,
     int_out_degrees,
     out_degree_vector,
 )
@@ -141,80 +141,71 @@ def neighbour_average(g: Graph, x, mode: str = "undirected") -> float:
     return float(d @ values) / float(d.sum())
 
 
-def _exact_report(g, d, ints, mode, label, tol) -> ParadoxReport:
+def _evaluate(g: Graph, x, mode: str, tol: float) -> tuple[ParadoxReport, float | Fraction]:
+    """The report for attribute x, and Cov(d, x) over the node distribution.
+
+    The exact path (unweighted graph, integer-valued x) runs on integer
+    degree and attribute lists in Fraction arithmetic, and the
+    covariance form must equal the gap; otherwise floats on arrays, and
+    the two must agree to 1e-9 relative.
+    """
+    _check_tol(tol)
+    values = _check_attribute(g, x)
+    sampler = _sampler(g, mode)
+    label = getattr(x, "label", "") or "attribute"
     n = g.n
-    sd = sum(d)
-    sx = sum(ints)
-    dx = sum(a * b for a, b in zip(d, ints))
-    node_avg = Fraction(sx, n)
-    neigh_avg = Fraction(dx, sd)
+    ints = _as_ints(values) if g.unweighted else None
+    if ints is not None:
+        d = int_out_degrees(sampler)
+        sd, sx = sum(d), sum(ints)
+        dx = dx_cov = sum(map(operator.mul, d, ints))
+        div, bound = Fraction, Fraction(tol)
+    else:
+        d = out_degree_vector(sampler).values
+        sd, sx = float(d.sum()), float(values.sum())
+        # Two routes to sum(d * x): the gap takes the dot product and the
+        # covariance the elementwise sum, so their agreement checks something.
+        dx, dx_cov = float(d @ values), float((d * values).sum())
+        div, bound = operator.truediv, tol
+    node_avg = div(sx, n)
+    neigh_avg = div(dx, sd)
     gap = neigh_avg - node_avg
-    mean_d = Fraction(sd, n)
-    cov = Fraction(dx, n) - mean_d * Fraction(sx, n)
+    mean_d = div(sd, n)
+    cov = div(dx_cov, n) - mean_d * node_avg
     cov_form = cov / mean_d
-    if cov_form != gap:
+    if ints is not None:
+        disagree = cov_form != gap
+    else:
+        scale = max(1.0, abs(gap), abs(cov_form), abs(node_avg), abs(neigh_avg))
+        disagree = abs(gap - cov_form) > 1e-9 * scale
+    if disagree:
         raise TheoremViolationError(
-            "gap and covariance form disagree in exact arithmetic",
-            dump={"edges": g.edges(), "mode": mode, "gap": str(gap), "cov": str(cov_form)},
+            f"gap {gap} and covariance form {cov_form} disagree",
+            dump={"edges": g.edges(), "mode": mode, "measure": label},
         )
-    tol_frac = Fraction(tol) if tol else Fraction(0)
-    return ParadoxReport(
+    report = ParadoxReport(
         mode=mode,
         measure_label=label,
         node_average=float(node_avg),
         neighbour_average=float(neigh_avg),
         gap=float(gap),
         covariance_form=float(cov_form),
-        holds=gap >= -tol_frac,
-        equality=abs(gap) <= tol_frac,
+        holds=gap >= -bound,
+        equality=abs(gap) <= bound,
         tol=tol,
-        exact={
+        exact=None if ints is None else {
             "node_average": node_avg,
             "neighbour_average": neigh_avg,
             "gap": gap,
             "covariance_form": cov_form,
         },
     )
-
-
-def _float_report(g, d, values, mode, label, tol) -> ParadoxReport:
-    n = g.n
-    neigh_avg = float(d @ values) / float(d.sum())
-    node_avg = float(values.sum()) / n
-    gap = neigh_avg - node_avg
-    # Independent route: covariance over the node distribution.
-    cov = float(np.mean(d * values)) - float(np.mean(d)) * float(np.mean(values))
-    cov_form = cov / float(np.mean(d))
-    scale = max(1.0, abs(gap), abs(cov_form), abs(node_avg), abs(neigh_avg))
-    if abs(gap - cov_form) > 1e-9 * scale:
-        raise TheoremViolationError(
-            f"gap {gap!r} and covariance form {cov_form!r} disagree beyond 1e-9 relative",
-            dump={"edges": g.edges(), "mode": mode, "measure": label},
-        )
-    return ParadoxReport(
-        mode=mode,
-        measure_label=label,
-        node_average=node_avg,
-        neighbour_average=neigh_avg,
-        gap=gap,
-        covariance_form=cov_form,
-        holds=gap >= -tol,
-        equality=abs(gap) <= tol,
-        tol=tol,
-    )
+    return report, cov
 
 
 def paradox_report(g: Graph, x, mode: str = "undirected", tol: float = 1e-9) -> ParadoxReport:
     """Full evaluation of the generalized paradox for attribute x."""
-    _check_tol(tol)
-    values = _check_attribute(g, x)
-    sampler = _sampler(g, mode)
-    label = getattr(x, "label", "") or "attribute"
-    if g.unweighted:
-        ints = _as_ints(values)
-        if ints is not None:
-            return _exact_report(g, int_out_degrees(sampler), ints, mode, label, tol)
-    return _float_report(g, out_degree_vector(sampler).values, values, mode, label, tol)
+    return _evaluate(g, x, mode, tol)[0]
 
 
 def classic_friendship_paradox(g: Graph, tol: float = 1e-9) -> ParadoxReport:
@@ -229,7 +220,7 @@ def directed_degree_report(g: Graph, tol: float = 1e-12) -> DirectedDegreeReport
 
     The out_out and in_in gaps are theorem-guaranteed nonnegative; a
     negative value here is an implementation fault and raises rather
-    than returning.
+    than returning.  The covariance is the one behind the out_in report.
     """
     if not g.directed:
         raise GraphError("directed_degree_report requires a directed graph; "
@@ -239,30 +230,15 @@ def directed_degree_report(g: Graph, tol: float = 1e-12) -> DirectedDegreeReport
     reports = {
         "out_out": paradox_report(g, d_out, mode="out", tol=tol),
         "in_in": paradox_report(g, d_in, mode="in", tol=tol),
-        "out_in": paradox_report(g, d_in, mode="out", tol=tol),
-        "in_out": paradox_report(g, d_out, mode="in", tol=tol),
     }
+    reports["out_in"], cov = _evaluate(g, d_in, "out", tol)
+    reports["in_out"] = paradox_report(g, d_out, mode="in", tol=tol)
     for key in ("out_out", "in_in"):
         if not reports[key].holds:
             raise TheoremViolationError(
                 f"universal directed paradox {key} reported a negative gap",
                 dump={"edges": g.edges(), "report": reports[key]},
             )
-
-    cov_exact = None
-    if reports["out_in"].exact is not None:
-        do = int_out_degrees(g)
-        di = int_in_degrees(g)
-        n = g.n
-        cov_exact = (
-            Fraction(sum(a * b for a, b in zip(do, di)), n)
-            - Fraction(sum(do), n) * Fraction(sum(di), n)
-        )
-        covariance = float(cov_exact)
-    else:
-        do = d_out.values
-        di = d_in.values
-        covariance = float(np.mean(do * di)) - float(np.mean(do)) * float(np.mean(di))
 
     # Both cross gaps are the same number (shared dot product and equal
     # one-norms); refuse to return if the two computations drifted.
@@ -276,5 +252,5 @@ def directed_degree_report(g: Graph, tol: float = 1e-12) -> DirectedDegreeReport
             "out_in and in_out gaps disagree",
             dump={"edges": g.edges(), "out_in": a.gap, "in_out": b.gap},
         )
-    return DirectedDegreeReport(reports=reports, covariance=covariance,
-                                covariance_exact=cov_exact, tol=tol)
+    return DirectedDegreeReport(reports=reports, covariance=float(cov),
+                                covariance_exact=cov if a.exact is not None else None, tol=tol)

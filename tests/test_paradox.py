@@ -99,6 +99,20 @@ def test_paradox_rejects_negative_attributes():
         wp.paradox_report(g, wp.NodeVector([-1.0] * 8, "x"))
 
 
+@given(graphs(max_n=8))
+@settings(max_examples=60)
+def test_exact_and_float_paths_give_the_same_gap(g):
+    # Adding a constant to x leaves the gap unchanged, so the float path
+    # on x + 0.5 must reproduce the exact gap of the integer attribute x.
+    rng = wp.CounterRng(29)
+    x = np.array([float(rng.randint(40)) for _ in range(g.n)])
+    for mode in (("out", "in") if g.directed else ("undirected",)):
+        exact = wp.paradox_report(g, x, mode=mode).exact["gap"]
+        shifted = wp.paradox_report(g, x + 0.5, mode=mode)
+        assert shifted.exact is None
+        assert abs(shifted.gap - exact) <= 1e-12 * max(1, abs(exact))
+
+
 def test_paradox_mode_validation():
     g = wp.figure1()
     x = wp.degree_vector(g)
@@ -165,6 +179,27 @@ def test_directed_self_pairings_always_hold(g):
     assert rep.reports["in_in"].holds
     assert rep.reports["out_out"].exact["gap"] >= 0
     assert rep.reports["in_in"].exact["gap"] >= 0
+
+
+@given(graphs(max_n=8, directed=True))
+@settings(max_examples=60)
+def test_directed_covariance_is_the_out_in_covariance(g):
+    # gap = Cov(d_out, d_in) / mean(d_out) for the out_in pairing
+    rep = wp.directed_degree_report(g)
+    form = rep.reports["out_in"].exact["covariance_form"]
+    assert rep.covariance_exact == form * Fraction(g.arc_count, g.n)
+    assert rep.covariance == float(rep.covariance_exact)
+
+
+@given(graphs(max_n=8, directed=True, weighted=True))
+@settings(max_examples=60)
+def test_weighted_directed_covariance_matches_the_out_in_form(g):
+    rep = wp.directed_degree_report(g)
+    if not g.unweighted:
+        assert rep.covariance_exact is None
+    mean_out = float(wp.out_degree_vector(g).values.mean())
+    expected = rep.reports["out_in"].covariance_form * mean_out
+    assert abs(rep.covariance - expected) <= 1e-12 * abs(expected)
 
 
 @given(graphs(max_n=8, directed=True, weighted=True))
