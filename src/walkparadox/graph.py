@@ -37,8 +37,8 @@ __all__ = [
     "validate_graph",
 ]
 
-# Largest node count whose ids fit the int64 index arrays.
-_MAX_NODES = np.iinfo(np.int64).max
+# Largest node count whose int64 indptr (n + 1 entries) numpy can size.
+_MAX_NODES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 1
 
 # Relative spread below which weighted degrees count as equal.
 _REGULAR_RTOL = 1e-12
@@ -175,7 +175,7 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         raise GraphError("node count must be a positive integer")
     n = int(n)
     if n > _MAX_NODES:
-        raise GraphError(f"node count {n} exceeds the int64 id range")
+        raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
 
     src: list[int] = []
     dst: list[int] = []

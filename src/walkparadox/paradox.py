@@ -92,8 +92,11 @@ class DirectedDegreeReport:
 
 def _values(x) -> np.ndarray:
     if isinstance(x, NodeVector):
-        return x.values
-    return np.asarray(x, dtype=float)
+        return x.values  # finite by construction
+    values = np.asarray(x, dtype=float)
+    if not np.isfinite(values).all():
+        raise ParameterError("attribute entries must be finite")
+    return values
 
 
 def _check_attribute(g: Graph, x) -> np.ndarray:

@@ -170,7 +170,8 @@ def test_missing_file(capsys):
     b"0 1\n\xff 2\n",
     b"0 100000000000000000000000000000\n",
     b"%nodes 100000000000000000000000000000\n0 1\n",
-], ids=["not-utf8", "node-id-past-int64", "node-count-past-int64"])
+    b"%nodes 4611686018427387904\n0 1\n",
+], ids=["not-utf8", "node-id-past-int64", "node-count-past-int64", "node-count-past-numpy"])
 def test_malformed_edge_list_is_an_input_error(content, tmp_path, capsys):
     f = tmp_path / "g.edges"
     f.write_bytes(content)

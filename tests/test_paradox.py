@@ -97,6 +97,18 @@ def test_paradox_rejects_negative_attributes():
     g = wp.figure1()
     with pytest.raises(ParameterError, match="nonnegative"):
         wp.paradox_report(g, wp.NodeVector([-1.0] * 8, "x"))
+    with pytest.raises(ParameterError, match="nonnegative"):
+        wp.paradox_report(g, np.array([-1.0] * 8))
+    # NaN slips past a `< 0` test and inf turns the gap into NaN: a raw
+    # array with either is refused rather than reported as a reversal.
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.array([bad] + [1.0] * 7)
+        with pytest.raises(ParameterError, match="finite"):
+            wp.paradox_report(g, x)
+        with pytest.raises(ParameterError, match="finite"):
+            wp.neighbour_average(g, x)
+        with pytest.raises(ParameterError, match="finite"):
+            wp.node_average(x)
 
 
 @given(graphs(max_n=8))
