@@ -186,7 +186,7 @@ def _evaluate(g: Graph, x, mode: str, tol: float) -> tuple[ParadoxReport, float 
             f"gap {gap} and covariance form {cov_form} disagree",
             dump={"edges": g.edges(), "mode": mode, "measure": label},
         )
-    report = ParadoxReport(
+    return ParadoxReport(
         mode=mode,
         measure_label=label,
         node_average=float(node_avg),
@@ -202,8 +202,7 @@ def _evaluate(g: Graph, x, mode: str, tol: float) -> tuple[ParadoxReport, float 
             "gap": gap,
             "covariance_form": cov_form,
         },
-    )
-    return report, cov
+    ), cov
 
 
 def paradox_report(g: Graph, x, mode: str = "undirected", tol: float = 1e-9) -> ParadoxReport:
