@@ -61,11 +61,9 @@ def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> Condition
     slack = lhs - rhs
     holds = _verdict(lhs, rhs, exact_mode)
     if guaranteed and not holds:
-        raise TheoremViolationError(
+        raise TheoremViolationError.on(
             f"theorem-guaranteed condition {cid} failed with slack {float(slack)!r}",
-            dump={"edges": g.edges(), "n": g.n, "directed": g.directed,
-                  "lhs": float(lhs), "rhs": float(rhs)},
-        )
+            g, lhs=float(lhs), rhs=float(rhs))
     exact = None
     if exact_mode:
         exact = {"lhs": Fraction(lhs), "rhs": Fraction(rhs), "slack": Fraction(slack)}
@@ -160,11 +158,9 @@ def check_spectral_directed(g: Graph, side: str = "left") -> ConditionReport:
     slack = lhs - rhs
     band = _REL_TOL * max(1.0, abs(lhs), abs(rhs))
     if (slack > band and rep.gap < -band) or (slack < -band and rep.gap > band):
-        raise TheoremViolationError(
-            f"spectral condition and {mode}-degree paradox disagree in sign",
-            dump={"edges": g.edges(), "eigenvalue": lhs, "mean_degree": rhs,
-                  "paradox_gap": rep.gap, "side": side},
-        )
+        raise TheoremViolationError.on(
+            f"spectral condition and {mode}-degree paradox disagree in sign", g,
+            eigenvalue=lhs, mean_degree=rhs, paradox_gap=rep.gap, side=side)
     details = {
         "eigenvalue": lhs,
         "residual": eig.residual,

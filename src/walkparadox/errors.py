@@ -38,3 +38,8 @@ class TheoremViolationError(WalkParadoxError, RuntimeError):
     def __init__(self, message, dump=None):
         super().__init__(message)
         self.dump = dump
+
+    @classmethod
+    def on(cls, message, g, **facts):
+        """The violation on g; build(n, edges, directed) replays its dump."""
+        return cls(message, dump={"edges": g.edges(), "n": g.n, "directed": g.directed, **facts})

@@ -250,36 +250,24 @@ class SuiteSummary:
     tol: float
 
 
-def _violation(message: str, g: Graph, **extra):
-    dump = {"edges": g.edges(), "n": g.n, "directed": g.directed}
-    dump.update(extra)
-    return TheoremViolationError(message, dump=dump)
-
-
 def _suite_undirected(g: Graph, tol: float, checks) -> None:
     classic = classic_friendship_paradox(g)
     checks["classic_paradox"] += 1
     if not classic.holds:
-        raise _violation("classic paradox failed", g, gap=classic.gap)
+        raise TheoremViolationError.on("classic paradox failed", g, gap=classic.gap)
     regular, _ = is_regular(g)
-
-    eig = dominant_eigenpair(g, tol=1e-10)
-    rep = paradox_report(g, eig.vector, mode="undirected", tol=tol)
-    checks["eigenvector_paradox"] += 1
-    if not rep.holds:
-        raise _violation("eigenvector paradox failed", g, gap=rep.gap)
-    if regular and abs(rep.gap) > 1e-8:
-        raise _violation("regular graph missed eigenvector equality", g, gap=rep.gap)
     if not regular and classic.exact is not None and classic.exact["gap"] <= 0:
-        raise _violation("non-regular graph hit classic equality", g, gap=classic.gap)
-
-    odd = odd_action(g, 1.0, tol=1e-12)
-    rep = paradox_report(g, odd, mode="undirected", tol=tol)
-    checks["odd_series_paradox"] += 1
-    if not rep.holds:
-        raise _violation("odd-series paradox failed", g, gap=rep.gap)
-    if regular and abs(rep.gap) > 1e-8:
-        raise _violation("regular graph missed odd-series equality", g, gap=rep.gap)
+        raise TheoremViolationError.on("non-regular graph hit classic equality", g,
+                                       gap=classic.gap)
+    for check, name, x in (("eigenvector_paradox", "eigenvector", dominant_eigenpair(g).vector),
+                           ("odd_series_paradox", "odd-series", odd_action(g, 1.0))):
+        rep = paradox_report(g, x, mode="undirected", tol=tol)
+        checks[check] += 1
+        if not rep.holds:
+            raise TheoremViolationError.on(f"{name} paradox failed", g, gap=rep.gap)
+        if regular and abs(rep.gap) > 1e-8:
+            raise TheoremViolationError.on(f"regular graph missed {name} equality", g,
+                                           gap=rep.gap)
 
 
 def _suite_directed(g: Graph, tol: float, checks) -> None:
@@ -295,7 +283,8 @@ def _suite_directed(g: Graph, tol: float, checks) -> None:
             rep = paradox_report(g, x, mode="in", tol=tol)
             checks["out_regular_katz_equality"] += 1
             if abs(rep.gap) > 1e-8:
-                raise _violation("out-regular graph missed Katz equality", g, gap=rep.gap)
+                raise TheoremViolationError.on("out-regular graph missed Katz equality", g,
+                                               gap=rep.gap)
 
 
 def random_theorem_suite(spec: FamilySpec, trials: int, tol: float = 1e-9) -> SuiteSummary:

@@ -182,10 +182,8 @@ def _evaluate(g: Graph, x, mode: str, tol: float) -> tuple[ParadoxReport, float 
         scale = max(1.0, abs(gap), abs(cov_form), abs(node_avg), abs(neigh_avg))
         disagree = abs(gap - cov_form) > 1e-9 * scale
     if disagree:
-        raise TheoremViolationError(
-            f"gap {gap} and covariance form {cov_form} disagree",
-            dump={"edges": g.edges(), "mode": mode, "measure": label},
-        )
+        raise TheoremViolationError.on(f"gap {gap} and covariance form {cov_form} disagree", g,
+                                       mode=mode, measure=label, attribute=values.tolist())
     return ParadoxReport(
         mode=mode,
         measure_label=label,
@@ -237,10 +235,9 @@ def directed_degree_report(g: Graph, tol: float = 1e-12) -> DirectedDegreeReport
     reports["in_out"] = paradox_report(g, d_out, mode="in", tol=tol)
     for key in ("out_out", "in_in"):
         if not reports[key].holds:
-            raise TheoremViolationError(
-                f"universal directed paradox {key} reported a negative gap",
-                dump={"edges": g.edges(), "report": reports[key]},
-            )
+            raise TheoremViolationError.on(
+                f"universal directed paradox {key} reported a negative gap", g,
+                pairing=key, gap=reports[key].gap)
 
     # Both cross gaps are the same number (shared dot product and equal
     # one-norms); refuse to return if the two computations drifted.
@@ -250,9 +247,7 @@ def directed_degree_report(g: Graph, tol: float = 1e-12) -> DirectedDegreeReport
     else:
         agree = abs(a.gap - b.gap) <= 1e-9 * max(1.0, abs(a.gap), abs(b.gap))
     if not agree:
-        raise TheoremViolationError(
-            "out_in and in_out gaps disagree",
-            dump={"edges": g.edges(), "out_in": a.gap, "in_out": b.gap},
-        )
+        raise TheoremViolationError.on("out_in and in_out gaps disagree", g,
+                                       out_in=a.gap, in_out=b.gap)
     return DirectedDegreeReport(reports=reports, covariance=float(cov),
                                 covariance_exact=cov if a.exact is not None else None, tol=tol)

@@ -1,7 +1,9 @@
 """Command-line behaviour: exit codes, output routing, determinism."""
 
+import ast
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -270,6 +272,21 @@ def test_theorem_violation_exit_code(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "theorem violation: forced" in err
     assert "witness:" in err
+
+
+def test_theorem_violation_witness_replays_stdin_graph(capsys, monkeypatch):
+    text = "%directed\n%nodes 6\n0 1\n1 2\n2 0\n"
+
+    def negative(*args, **kwargs):
+        return replace(real(*args, **kwargs), holds=False)
+
+    real = wp.paradox.paradox_report
+    monkeypatch.setattr(wp.paradox, "paradox_report", negative)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.run(["directed-paradox", "--graph", "-"]) == 3
+    line = next(l for l in capsys.readouterr().err.splitlines() if l.startswith("witness: "))
+    dump = ast.literal_eval(line[len("witness: "):])
+    assert wp.build(dump["n"], dump["edges"], directed=dump["directed"]) == parse_edge_list(text)
 
 
 def test_provenance_records_argv(capsys):
