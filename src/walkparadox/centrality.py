@@ -88,13 +88,14 @@ def compute(g: Graph, spec: CentralitySpec) -> NodeVector:
     """
     work = _oriented(g, spec.direction)
     kind = spec.kind
+    tol_kw = {} if spec.tol is None else {"tol": spec.tol}
 
     if kind == "degree":
         vec = out_degree_vector(work)
         return NodeVector(vec.values, _DEGREE_LABELS[spec.direction])
 
     if kind == "eigenvector":
-        result = dominant_eigenpair(work, side="right", tol=spec.tol or 1e-10)
+        result = dominant_eigenpair(work, side="right", **tol_kw)
         return NodeVector(result.vector.values, f"eigenvector[{spec.direction}]")
 
     if kind == "katz":
@@ -102,13 +103,13 @@ def compute(g: Graph, spec: CentralitySpec) -> NodeVector:
         if alpha is None:
             rho = spectral_radius_estimate(work)
             alpha = 0.5 / rho
-        vec = katz_action(work, alpha, tol=spec.tol or 1e-12, spectral_radius=rho)
+        vec = katz_action(work, alpha, spectral_radius=rho, **tol_kw)
         return NodeVector(vec.values, f"katz[alpha={alpha:.6g},{spec.direction}]")
 
     if kind in ("total", "odd", "even"):
         beta = 1.0 if spec.beta is None else float(spec.beta)
         action = {"total": exp_action, "odd": odd_action, "even": even_action}[kind]
-        vec = action(work, beta, tol=spec.tol or 1e-12)
+        vec = action(work, beta, **tol_kw)
         return NodeVector(vec.values, f"{kind}[beta={beta:.6g},{spec.direction}]")
 
     vec = series_action(work, spec.coeffs)
@@ -135,13 +136,13 @@ def katz_degree_limit_check(g: Graph, direction: str = "undirected", alphas=None
     if alphas is None:
         alphas = (0.1 / rho, 0.01 / rho, 0.001 / rho)
     alphas = tuple(float(a) for a in alphas)
-    if any(b >= a for a, b in zip(alphas, alphas[1:])):
-        raise ParameterError("alphas must be strictly decreasing")
+    if not alphas or any(b >= a for a, b in zip(alphas, alphas[1:])):
+        raise ParameterError("alphas must be nonempty and strictly decreasing")
     d = out_degree_vector(work).values
     scale = float(np.abs(d).max())
     deviations = []
     for a in alphas:
-        x = katz_action(work, a, tol=1e-12, spectral_radius=rho)
+        x = katz_action(work, a, spectral_radius=rho)
         deviations.append(float(np.abs((x.values - 1.0) / a - d).max()) / scale)
     dec = all(b < a for a, b in zip(deviations, deviations[1:]))
     return KatzDegreeDiagnostic(direction, alphas, tuple(deviations), max(deviations), dec)
@@ -169,13 +170,13 @@ def katz_eigenvector_limit_check(g: Graph, side: str = "right", alphas=None) -> 
     """
     side = _side(g, side)
     work = _oriented(g, side)
-    eig = dominant_eigenpair(work, side="right", tol=1e-10)
+    eig = dominant_eigenpair(work, side="right")
     lam = eig.eigenvalue
     if alphas is None:
         alphas = tuple(f / lam for f in (0.5, 0.9, 0.99, 0.999))
     alphas = tuple(float(a) for a in alphas)
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ParameterError("alphas must be strictly increasing")
+    if not alphas or any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ParameterError("alphas must be nonempty and strictly increasing")
     sims = []
     for a in alphas:
         x = katz_action(work, a, tol=1e-10, spectral_radius=lam)

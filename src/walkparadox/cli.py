@@ -182,8 +182,8 @@ def _cmd_centrality(args) -> tuple:
     if direction == "auto":
         direction = "broadcast" if g.directed else "undirected"
     if args.measure == "eigenvector":
-        result = dominant_eigenpair(g, side=_side(g, direction),
-                                    tol=1e-10 if args.tol is None else args.tol)
+        tol_kw = {} if args.tol is None else {"tol": args.tol}
+        result = dominant_eigenpair(g, side=_side(g, direction), **tol_kw)
     else:
         result = compute(g, _measure_spec(args, direction, tol=args.tol))
     return g, [result], 0, None

@@ -150,7 +150,7 @@ def check_spectral_directed(g: Graph, side: str = "left") -> ConditionReport:
     in-degrees), so the two verdicts are cross-checked here and any
     sign disagreement is treated as an implementation fault.
     """
-    eig = dominant_eigenpair(g, side=side, tol=1e-10)  # validates side and irreducibility
+    eig = dominant_eigenpair(g, side=side)  # validates side and irreducibility
     lhs = eig.eigenvalue
     rhs = g.total_weight / g.n
     mode = "out" if side == "left" else "in"

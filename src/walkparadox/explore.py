@@ -76,11 +76,11 @@ def katz_alpha_sweep(g: Graph, grid_size: int = 20, tol: float = 1e-9) -> SweepR
     if grid_size < 2:
         raise ParameterError("grid_size must be >= 2")
     _check_tol(tol)
-    rho = dominant_eigenpair(g, tol=1e-10).eigenvalue
+    rho = dominant_eigenpair(g).eigenvalue
     alphas = tuple(j / ((grid_size + 1) * rho) for j in range(1, grid_size + 1))
     gaps = []
     for a in alphas:
-        x = katz_action(g, a, tol=1e-12, spectral_radius=rho)
+        x = katz_action(g, a, spectral_radius=rho)
         gaps.append(paradox_report(g, x, mode="undirected", tol=tol).gap)
     # alphas[1] is exactly 2 * alphas[0]; with g(a) = c1 a + c2 a^2 + ...,
     # (4 g(a) - g(2a)) / (2a) = c1 + O(a^2).
@@ -271,7 +271,7 @@ def _suite_undirected(g: Graph, tol: float, checks) -> None:
 
 
 def _suite_directed(g: Graph, tol: float, checks) -> None:
-    directed_degree_report(g, tol=1e-12)  # self-asserting universals
+    directed_degree_report(g)  # self-asserting universals
     checks["directed_universals"] += 1
     if is_strongly_connected(g):
         check_spectral_directed(g, "left")  # both cross-check internally

@@ -262,11 +262,6 @@ def int_out_degrees(g: Graph) -> list[int]:
     return np.diff(g.indptr).tolist()
 
 
-def int_in_degrees(g: Graph) -> list[int]:
-    """Arc counts per target; exact degrees when the graph is unweighted."""
-    return np.diff(g.reverse.indptr).tolist()
-
-
 def _reaches_all(n: int, *adjacency: Sequence[Sequence[int]]) -> bool:
     """Whether node 0 reaches every node along the union of the adjacencies."""
     seen = bytearray(n)

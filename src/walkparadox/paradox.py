@@ -134,6 +134,8 @@ def node_average(x) -> float:
     values = _values(x)
     if np.any(values < 0):
         raise ParameterError("attribute entries must be nonnegative")
+    if values.shape[0] == 0:
+        raise ParameterError("attribute must have at least one entry")
     return float(values.sum()) / values.shape[0]
 
 

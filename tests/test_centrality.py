@@ -111,6 +111,8 @@ def test_katz_degree_limit_check():
     assert diag.max_deviation < 0.2
     with pytest.raises(ParameterError, match="decreasing"):
         wp.katz_degree_limit_check(wp.figure1(), alphas=(0.01, 0.02))
+    with pytest.raises(ParameterError, match="nonempty"):
+        wp.katz_degree_limit_check(wp.figure1(), alphas=())
 
 
 def test_katz_degree_limit_directed():
@@ -129,6 +131,8 @@ def test_katz_eigenvector_limit_check():
     assert left.final_similarity >= 1.0 - 1e-6
     with pytest.raises(ParameterError, match="side"):
         wp.katz_eigenvector_limit_check(wp.figure1(), side="middle")
+    with pytest.raises(ParameterError, match="nonempty"):
+        wp.katz_eigenvector_limit_check(wp.figure1(), alphas=())
 
 
 def test_one_eigen_solve_per_katz_request(monkeypatch):

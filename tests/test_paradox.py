@@ -47,6 +47,9 @@ def test_node_average():
     assert wp.node_average(x) == pytest.approx(2.0)
     with pytest.raises(ParameterError, match="nonnegative"):
         wp.node_average(wp.NodeVector([1.0, -2.0], "x"))
+    for empty in (np.array([]), wp.NodeVector([], "x")):
+        with pytest.raises(ParameterError, match="at least one"):
+            wp.node_average(empty)
 
 
 def test_neighbour_average_modes_match_brute():
