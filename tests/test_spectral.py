@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import walkparadox as wp
+from walkparadox import spectral
 from walkparadox.errors import ConvergenceError, GraphError, ParameterError
 
 import _oracles as oracle
@@ -149,16 +150,103 @@ def test_katz_alpha_validation():
     with pytest.raises(ParameterError, match="alpha exceeds"):
         wp.katz_action(g, 0.7)
     # 0.499999 * 2 sits inside the acceptance margin, so validation lets
-    # it through; convergence is then hopeless (rate 0.999998 per step)
-    # and the failure surfaces as ConvergenceError, not ParameterError
+    # it through; 1 is an eigenvector of every regular graph, so the
+    # Krylov solve ends after one step at x = 1 / (1 - 2 alpha)
+    x = wp.katz_action(g, 0.499999).values
+    assert np.allclose(x, 1 / (1 - 2 * 0.499999), rtol=1e-9, atol=0)
+    # a spent matvec budget surfaces as ConvergenceError, not ParameterError
+    fig = wp.figure1()
     with pytest.raises(ConvergenceError) as info:
-        wp.katz_action(g, 0.499999, max_iter=50)
+        wp.katz_action(fig, 0.99 / wp.spectral_radius_estimate(fig), max_iter=1)
     assert info.value.best is not None
+    assert info.value.residual > 1e-12
     with pytest.raises(ParameterError, match="positive"):
         wp.katz_action(g, -0.1)
     # a caller-supplied spectral radius overrides the estimate
     with pytest.raises(ParameterError, match="alpha exceeds"):
         wp.katz_action(g, 0.4, spectral_radius=3.0)
+
+
+def _cycle_plus_random_arcs(n, k, seed):
+    # strongly connected through the directed cycle
+    rng = np.random.default_rng(seed)
+    src, dst = np.repeat(np.arange(n), k), rng.integers(0, n, n * k)
+    arcs = {(i, (i + 1) % n) for i in range(n)}
+    arcs |= {(int(s), int(t)) for s, t in zip(src, dst) if s != t}
+    return wp.build(n, sorted(arcs), directed=True)
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.99, 0.999])
+@pytest.mark.parametrize("make", [
+    lambda: wp.barabasi_albert(2000, 3, seed=1),
+    lambda: _cycle_plus_random_arcs(2000, 3, seed=1),
+], ids=["ba", "digraph"])
+def test_katz_krylov_at_scale(make, factor, monkeypatch):
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    g = make()
+    rho = wp.dominant_eigenpair(g).eigenvalue
+    alpha = factor / rho
+    matvec = spectral._matvec
+    calls = []
+    monkeypatch.setattr(spectral, "_matvec", lambda g, x: calls.append(1) or matvec(g, x))
+    x = wp.katz_action(g, alpha, spectral_radius=rho).values
+    monkeypatch.undo()
+    # the geometric series needed thousands of steps at 0.99 / rho
+    assert len(calls) <= 200
+
+    a = sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    ref = linalg.spsolve((sparse.identity(g.n) - alpha * a).tocsc(), np.ones(g.n))
+    assert np.max(np.abs(x - ref) / ref) <= 1e-10
+
+    alpha_ax = alpha * matvec(g, x)
+    residual = np.linalg.norm(1.0 - x + alpha_ax)
+    floor = spectral._KATZ_FLOOR_C * np.finfo(float).eps * (
+        np.linalg.norm(x) + np.linalg.norm(alpha_ax))
+    assert residual <= max(1e-12, floor)
+
+
+@pytest.mark.parametrize("factor", [0.9, 0.99, 0.999])
+def test_katz_accepts_hub_rounding_noise(factor, monkeypatch):
+    # the hub's row of A x sums 10^4 terms, whose rounding keeps the true
+    # residual well above eps * (||x|| + alpha ||A x||) on every restart
+    n = 10_000
+    g = wp.star_undirected(n)
+    alpha = factor / math.sqrt(n - 1)
+    matvec = spectral._matvec
+    calls = []
+    monkeypatch.setattr(spectral, "_matvec", lambda g, x: calls.append(1) or matvec(g, x))
+    x = wp.katz_action(g, alpha, spectral_radius=math.sqrt(n - 1)).values
+    assert len(calls) <= 20
+    hub = (1 + alpha * (n - 1)) / (1 - alpha * alpha * (n - 1))
+    exact = np.full(n, 1 + alpha * hub)
+    exact[0] = hub
+    assert np.max(np.abs(x - exact) / exact) <= 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: wp.barabasi_albert(500, 3, seed=2),
+    lambda: _cycle_plus_random_arcs(500, 3, seed=2),
+], ids=["ba", "digraph"])
+def test_katz_stall_raises_without_spending_max_iter(make, monkeypatch):
+    # noise far above any rounding floor: no restart can lower the true
+    # residual, and the solve must say so long before max_iter
+    g = make()
+    rho = wp.spectral_radius_estimate(g)
+    matvec = spectral._matvec
+    rng = np.random.default_rng(0)
+    calls = []
+
+    def noisy(g, x):
+        calls.append(1)
+        return matvec(g, x) + 1e-6 * rng.standard_normal(g.n)
+
+    monkeypatch.setattr(spectral, "_matvec", noisy)
+    with pytest.raises(ConvergenceError) as info:
+        wp.katz_action(g, 0.9 / rho, spectral_radius=rho)
+    assert len(calls) <= 1000
+    assert info.value.residual > 1e-12
+    assert info.value.best is not None
 
 
 # -------------------------------------------------- exponential families
@@ -298,3 +386,13 @@ def test_solvers_reject_non_finite_tol(solve, tol):
     # eigenvalue 3.06 on this graph, where the true value is 8.99
     with pytest.raises(ParameterError, match="tol must be positive and finite"):
         solve(wp.barabasi_albert(200, 2, seed=1), tol)
+
+
+@pytest.mark.parametrize("max_iter", [0, -5, 2.5])
+@pytest.mark.parametrize("solve", [
+    lambda g, max_iter: wp.dominant_eigenpair(g, max_iter=max_iter),
+    lambda g, max_iter: wp.katz_action(g, 0.1, max_iter=max_iter),
+], ids=["eigen", "katz"])
+def test_solvers_reject_max_iter_below_one_or_fractional(solve, max_iter):
+    with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
+        solve(wp.figure1(), max_iter)
