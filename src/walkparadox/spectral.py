@@ -18,8 +18,9 @@ Conventions fixed by this module:
 * Katz vectors solve (I - alpha A) x = 1 by conjugate gradients on
   undirected graphs, where the operator is symmetric positive definite,
   and by restarted GMRES on digraphs.  They iterate to the rounding
-  floor of the true residual and accept max(tol, floor); max_iter
-  counts matrix-vector products.
+  floor of the true residual; a stalled solve is accepted within tol
+  or the worst-case rounding error of the residual.  max_iter counts
+  matrix-vector products.
 * Walk totals on unweighted graphs use Python integers, so they are
   exact at any order; weighted graphs fall back to float sums.  Totals
   w_k = 1^T A^k 1 and mixed sums 1^T A^T A^k 1 = (A 1).(A^k 1) share one
@@ -327,10 +328,11 @@ def katz_action(
     r = 1 - x + alpha A x reaches its rounding floor, the error of
     forming r itself: a few eps times ||x||_2 + alpha ||A x||_2.  A
     restart that fails to lower the true residual, or a spent max_iter,
-    ends the solve; its best iterate is returned if ||r||_2 <= tol and
-    otherwise raised with ConvergenceError.  So at return
-    ||r||_2 <= max(tol, floor).  max_iter bounds the matrix-vector
-    products, true residuals included.
+    ends the solve; its best iterate is returned if ||r||_2 is within
+    tol or within the worst-case error of forming r, which grows with
+    the row lengths at hubs, and otherwise raised with
+    ConvergenceError.  max_iter bounds the matrix-vector products, true
+    residuals included.
 
     alpha is accepted only while alpha * rho <= 1 - 1e-9; pass
     spectral_radius to skip the built-in estimate when the caller

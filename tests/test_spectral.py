@@ -192,7 +192,7 @@ def test_katz_krylov_at_scale(make, factor, monkeypatch):
     monkeypatch.setattr(spectral, "_matvec", lambda g, x: calls.append(1) or matvec(g, x))
     x = wp.katz_action(g, alpha, spectral_radius=rho).values
     monkeypatch.undo()
-    # the geometric series needed thousands of steps at 0.99 / rho
+    # a geometric-series solve takes thousands of matvecs at 0.99 / rho
     assert len(calls) <= 200
 
     a = sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
