@@ -12,7 +12,6 @@ which the in- and out-degree paradox statements become equivalences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import ParameterError
 from .graph import Graph, NodeVector, _oriented, _side, out_degree_vector
 from .spectral import (
     SeriesCoefficients,
-    _check_solver_tol,
+    _check_positive,
     dominant_eigenpair,
     even_action,
     exp_action,
@@ -72,12 +71,9 @@ class CentralitySpec:
                 raise ParameterError("power_series requires coefficients")
             if not isinstance(self.coeffs, SeriesCoefficients):
                 object.__setattr__(self, "coeffs", SeriesCoefficients(tuple(self.coeffs)))
-        if self.alpha is not None and not (float(self.alpha) > 0 and math.isfinite(self.alpha)):
-            raise ParameterError("alpha must be positive and finite")
-        if self.beta is not None and not (float(self.beta) > 0 and math.isfinite(self.beta)):
-            raise ParameterError("beta must be positive and finite")
-        if self.tol is not None:
-            _check_solver_tol(self.tol)
+        for name in ("alpha", "beta", "tol"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
 
 
 def compute(g: Graph, spec: CentralitySpec) -> NodeVector:

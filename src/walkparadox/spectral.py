@@ -38,7 +38,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, ParameterError
-from .graph import Graph, NodeVector, _oriented, is_strongly_connected
+from .graph import Graph, NodeVector, _oriented, _row_sums, is_strongly_connected
 
 __all__ = [
     "EigenResult",
@@ -87,10 +87,11 @@ _GMRES_RESTART = 30
 _CG_CYCLE = 200
 
 
-def _check_solver_tol(tol) -> None:
-    # an infinite tolerance would accept the first iterate as an answer
-    if not 0 < float(tol) < math.inf:
-        raise ParameterError(f"tol must be positive and finite: {tol!r}")
+def _check_positive(name: str, value) -> float:
+    # infinity too: an infinite tol would accept the first iterate as an answer
+    if not 0 < float(value) < math.inf:
+        raise ParameterError(f"{name} must be positive and finite: {value!r}")
+    return float(value)
 
 
 def _check_max_iter(max_iter) -> None:
@@ -135,17 +136,16 @@ def _start_vector(n: int) -> list[float]:
     return [v * (n / s) for v in raw]
 
 
-# Both power iterations return their best iterate (residual, x, eigenvalue,
-# iteration) and stop at the first one within tol, which is also the best.
-def _power_iteration_small(g: Graph, tol: float, max_iter: int):
+# Step kernels: each maps an iterate x to ((A + I) x scaled to sum n,
+# the Rayleigh quotient of A + I at x, and the residual at x).
+def _list_kernel(g: Graph):
     n = g.n
     ptr = g.indptr.tolist()
     cols = g.indices.tolist()
     wts = g.weights.tolist()
     plain = g.unweighted
-    x = _start_vector(n)
-    best = (math.inf, None, 0.0, 0)
-    for it in range(1, max_iter + 1):
+
+    def step(x):
         z = [0.0] * n
         if plain:
             for i in range(n):
@@ -169,31 +169,19 @@ def _power_iteration_small(g: Graph, tol: float, max_iter: int):
         for i in range(n):
             d = z[i] - lam * x[i]
             rr += d * d
-        res = math.sqrt(rr)
-        if res < best[0]:
-            best = (res, x, lam - 1.0, it)
-            if res <= tol:
-                break
-        s = sum(z)
-        scale = n / s
-        x = [v * scale for v in z]
-    return best
+        scale = n / sum(z)
+        return [v * scale for v in z], lam, math.sqrt(rr)
+
+    return step, _start_vector(n)
 
 
-def _power_iteration_large(g: Graph, tol: float, max_iter: int):
-    n = g.n
-    x = np.asarray(_start_vector(n))
-    best = (math.inf, None, 0.0, 0)
-    for it in range(1, max_iter + 1):
+def _array_kernel(g: Graph):
+    def step(x):
         z = _matvec(g, x) + x
         lam = float(x @ z) / float(x @ x)
-        res = float(np.linalg.norm(z - lam * x))
-        if res < best[0]:
-            best = (res, x, lam - 1.0, it)
-            if res <= tol:
-                break
-        x = z * (n / float(z.sum()))
-    return best
+        return z * (g.n / float(z.sum())), lam, float(np.linalg.norm(z - lam * x))
+
+    return step, np.asarray(_start_vector(g.n))
 
 
 def dominant_eigenpair(
@@ -208,7 +196,7 @@ def dominant_eigenpair(
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right': {side!r}")
-    _check_solver_tol(tol)
+    _check_positive("tol", tol)
     if not is_strongly_connected(g):
         raise GraphError("irreducibility required: graph is not (strongly) connected")
 
@@ -216,8 +204,17 @@ def dominant_eigenpair(
     if max_iter is None:
         max_iter = 100 * g.n + 1000
     _check_max_iter(max_iter)
-    runner = _power_iteration_small if g.n <= _SMALL_N else _power_iteration_large
-    res, x, lam, iters = runner(work, tol, max_iter)
+    step, x = (_list_kernel if g.n <= _SMALL_N else _array_kernel)(work)
+    # best iterate (residual, x, eigenvalue, iteration); the first within tol is the best
+    best = (math.inf, None, 0.0, 0)
+    for it in range(1, max_iter + 1):
+        x_next, lam, res = step(x)
+        if res < best[0]:
+            best = (res, x, lam - 1.0, it)
+            if res <= tol:
+                break
+        x = x_next
+    res, x, lam, iters = best
     best = None if x is None else EigenResult(
         lam, NodeVector(x, f"eigenvector[{side}]"), side, res, iters)
     if res <= tol:
@@ -239,9 +236,7 @@ def spectral_radius_estimate(g: Graph) -> float:
     """
     if is_strongly_connected(g):
         return dominant_eigenpair(g).eigenvalue
-    row_max = float(np.bincount(g.rows, weights=g.weights, minlength=g.n).max())
-    col_max = float(np.bincount(g.indices, weights=g.weights, minlength=g.n).max())
-    return min(row_max, col_max)
+    return min(float(_row_sums(_oriented(g, side)).max()) for side in ("right", "left"))
 
 
 def _katz_floor(x: np.ndarray, alpha_ax: np.ndarray) -> float:
@@ -338,10 +333,8 @@ def katz_action(
     spectral_radius to skip the built-in estimate when the caller
     already has one.
     """
-    alpha = float(alpha)
-    if not (alpha > 0 and math.isfinite(alpha)):
-        raise ParameterError("alpha must be positive and finite")
-    _check_solver_tol(tol)
+    alpha = _check_positive("alpha", alpha)
+    _check_positive("tol", tol)
     if max_iter is None:
         max_iter = 1_000_000
     _check_max_iter(max_iter)
@@ -429,17 +422,13 @@ def series_action(g: Graph, coeffs: SeriesCoefficients) -> NodeVector:
 def _taylor_action(
     g: Graph, beta: float, tol: float, parity: int | None, label: str
 ) -> NodeVector:
-    beta = float(beta)
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ParameterError("beta must be positive and finite")
-    _check_solver_tol(tol)
+    beta = _check_positive("beta", beta)
+    _check_positive("tol", tol)
     term = np.ones(g.n)
     total = term.copy() if parity in (None, 0) else np.zeros(g.n)
     # Terms grow until k ~ beta * max row sum; never trust the tolerance
     # test before that point.
-    row_max = float(np.bincount(g.rows, weights=g.weights, minlength=g.n).max())
-    settle = beta * row_max
-    added = parity in (None, 0)
+    settle = beta * float(_row_sums(g).max())
     with np.errstate(over="ignore"):
         for k in range(1, _TAYLOR_CAP + 1):
             term = (beta / k) * _matvec(g, term)
@@ -449,8 +438,7 @@ def _taylor_action(
                 )
             if parity is None or k % 2 == parity:
                 total += term
-                added = True
-            if added and k >= settle and float(np.abs(term).max()) <= tol * float(np.abs(total).max()):
+            if k >= settle and float(np.abs(term).max()) <= tol * float(np.abs(total).max()):
                 return NodeVector(total, label)
     raise ConvergenceError(
         f"series did not settle within {_TAYLOR_CAP} terms",
