@@ -338,7 +338,8 @@ def katz_action(
     if max_iter is None:
         max_iter = 1_000_000
     _check_max_iter(max_iter)
-    rho = spectral_radius_estimate(g) if spectral_radius is None else float(spectral_radius)
+    rho = (spectral_radius_estimate(g) if spectral_radius is None
+           else _check_positive("spectral_radius", spectral_radius))
     if alpha * rho > 1.0 - _ALPHA_MARGIN:
         raise ParameterError(
             f"alpha exceeds 1/spectral-radius: alpha*rho = {alpha * rho:.12g} "

@@ -165,6 +165,11 @@ def test_katz_alpha_validation():
     # a caller-supplied spectral radius overrides the estimate
     with pytest.raises(ParameterError, match="alpha exceeds"):
         wp.katz_action(g, 0.4, spectral_radius=3.0)
+    # but is checked: none of these admits alpha = 0.9 on figure1, where
+    # alpha * rho is 2.2 and no Katz vector exists
+    for rho in (math.nan, -1.0, 0.0, math.inf):
+        with pytest.raises(ParameterError, match="spectral_radius must be positive"):
+            wp.katz_action(fig, 0.9, spectral_radius=rho)
 
 
 def _cycle_plus_random_arcs(n, k, seed):
