@@ -15,6 +15,7 @@ mathematics leaves no room for the input to be at fault.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -60,18 +61,27 @@ def _verdict(lhs, rhs, exact: bool) -> bool:
 def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> ConditionReport:
     slack = lhs - rhs
     holds = _verdict(lhs, rhs, exact_mode)
+    # exact totals can outgrow a float, and a weighted w_k * w_1 can
+    # overflow while both factors are finite
+    try:
+        values = float(lhs), float(rhs), float(slack)
+        if not all(map(math.isfinite, values)):
+            raise OverflowError
+    except OverflowError:
+        raise ParameterError(f"{cid}: walk totals exceed the float range of a report") from None
+    lhs_f, rhs_f, slack_f = values
     if guaranteed and not holds:
         raise TheoremViolationError.on(
-            f"theorem-guaranteed condition {cid} failed with slack {float(slack)!r}",
-            g, lhs=float(lhs), rhs=float(rhs))
+            f"theorem-guaranteed condition {cid} failed with slack {slack_f!r}",
+            g, lhs=lhs_f, rhs=rhs_f)
     exact = None
     if exact_mode:
         exact = {"lhs": Fraction(lhs), "rhs": Fraction(rhs), "slack": Fraction(slack)}
     return ConditionReport(
         condition_id=cid,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
+        lhs=lhs_f,
+        rhs=rhs_f,
+        slack=slack_f,
         holds=holds,
         guaranteed=guaranteed,
         exact=exact,

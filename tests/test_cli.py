@@ -100,6 +100,17 @@ def test_conditions_flag_pairing(capsys):
     assert "--r and --s go together" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["conditions", "--family", "complete", "--n", "50", "--max-k", "200"],
+    ["conditions", "--family", "figure1", "--scan", "1000"],
+], ids=["growth", "scan"])
+def test_walk_totals_past_float_range_exit_two(argv, capsys):
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceed the float range" in err
+    assert "Traceback" not in err
+
+
 def test_search_even_order_rejected(capsys):
     code = cli.run(["search", "--family", "erdos_renyi", "--n", "8", "--p", "0.5",
                     "--r", "1", "--s", "1"])

@@ -38,6 +38,13 @@ def test_walk_growth_validation():
         wp.check_walk_growth(wp.three_node(), 1)
     with pytest.raises(ParameterError, match=">= 1"):
         wp.check_walk_growth(wp.figure1(), 0)
+    # exact totals past the float range, and a weighted w_k * w_1 that
+    # overflows while w_{k+1} is finite, cannot be reported
+    with pytest.raises(ParameterError, match=r"walk_growth\(k=190\): walk totals exceed"):
+        wp.check_walk_growth(wp.complete(50), 190)
+    weighted = wp.build(50, [(i, j, 1.01) for i in range(50) for j in range(i + 1, 50)])
+    with pytest.raises(ParameterError, match="float range of a report"):
+        wp.check_walk_growth(weighted, 179)
 
 
 def test_walk_growth_fails_on_weighted_violator():
