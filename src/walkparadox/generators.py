@@ -17,7 +17,7 @@ mixed-paradox examples.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import GraphError, ParameterError
 from .graph import Graph, build, is_connected
@@ -149,34 +149,29 @@ def k_regular_random(n: int, k: int, seed: int = 0) -> Graph:
     )
 
 
-def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
-    """Each unordered pair kept independently with probability p."""
+def _bernoulli(n: int, p: float, seed: int, directed: bool) -> Graph:
+    """Each pair of distinct nodes, in lexicographic order, kept with
+    probability p by one draw; ordered pairs when directed."""
     if n < 2:
         raise ParameterError("random graph requires n >= 2")
     if not 0 < p <= 1:
         raise ParameterError("p must lie in (0, 1]")
     rng = CounterRng(seed)
-    edges = [(i, j) for i, j in combinations(range(n), 2) if rng.uniform() < p]
+    pairs = permutations(range(n), 2) if directed else combinations(range(n), 2)
+    edges = [pair for pair in pairs if rng.uniform() < p]
     if not edges:
         raise GraphError(f"sampled an empty graph (n={n}, p={p}, seed={seed}); increase p")
-    return build(n, edges)
+    return build(n, edges, directed=directed)
+
+
+def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
+    """Each unordered pair kept independently with probability p."""
+    return _bernoulli(n, p, seed, directed=False)
 
 
 def erdos_renyi_directed(n: int, p: float, seed: int = 0) -> Graph:
     """Each ordered pair kept independently with probability p."""
-    if n < 2:
-        raise ParameterError("random graph requires n >= 2")
-    if not 0 < p <= 1:
-        raise ParameterError("p must lie in (0, 1]")
-    rng = CounterRng(seed)
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.uniform() < p:
-                edges.append((i, j))
-    if not edges:
-        raise GraphError(f"sampled an empty graph (n={n}, p={p}, seed={seed}); increase p")
-    return build(n, edges, directed=True)
+    return _bernoulli(n, p, seed, directed=True)
 
 
 def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:

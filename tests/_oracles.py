@@ -79,6 +79,20 @@ def gap_fraction_brute(g, x) -> Fraction:
     return num / sum(deg) - sum(xs) / g.n
 
 
+def bernoulli_edges(n: int, p: float, seed: int, directed: bool) -> list[tuple[int, int]]:
+    """Pairs the Erdos-Renyi samplers keep: a double loop over i < j, or
+    over i != j when directed, with one CounterRng draw per pair."""
+    from walkparadox import CounterRng
+
+    rng = CounterRng(seed)
+    edges = []
+    for i in range(n):
+        for j in range(n) if directed else range(i + 1, n):
+            if i != j and rng.uniform() < p:
+                edges.append((i, j))
+    return edges
+
+
 def dominant_eigenvalue_dense(g) -> float:
     """Largest-magnitude eigenvalue via LAPACK on the dense matrix."""
     a = dense_adjacency(g)

@@ -2,9 +2,13 @@
 invariants plus determinism for the seeded ones."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import walkparadox as wp
 from walkparadox import FamilySpec, GraphError, ParameterError, make, make_connected
+
+import _oracles as oracle
 
 
 def neighbour_degrees(g, node):
@@ -127,6 +131,22 @@ def test_erdos_renyi_directed_determinism():
     assert a != wp.erdos_renyi_directed(15, 0.2, seed=4)
     with pytest.raises(ParameterError):
         wp.erdos_renyi_directed(10, -0.1)
+
+
+@given(n=st.integers(2, 9), p=st.floats(0.02, 1.0), seed=st.integers(0, 2**64 + 10),
+       directed=st.booleans())
+@example(n=7, p=0.3, seed=2**63 + 5, directed=True)
+@settings(max_examples=120, deadline=None)
+def test_erdos_renyi_families_match_pair_loops(n, p, seed, directed):
+    expected = oracle.bernoulli_edges(n, p, seed, directed)
+    sample = wp.erdos_renyi_directed if directed else wp.erdos_renyi
+    if not expected:
+        with pytest.raises(GraphError, match="empty graph"):
+            sample(n, p, seed=seed)
+        return
+    g = sample(n, p, seed=seed)
+    assert g.directed == directed
+    assert [(i, j) for i, j, _ in g.edges()] == expected
 
 
 def test_barabasi_albert_structure():
