@@ -62,10 +62,14 @@ def test_eigen_result_contract_figure1():
 @given(graphs(max_n=7, weighted=True, connected=True, directed=False))
 @settings(max_examples=40, deadline=None)
 def test_eigen_matches_dense_eigensolver(g):
-    # generous max_iter: random weights can put lambda_2 close to lambda_1
-    res = wp.dominant_eigenpair(g, tol=1e-11, max_iter=200_000)
-    assert res.eigenvalue == pytest.approx(
-        oracle.dominant_eigenvalue_dense(g), abs=1e-8)
+    # both step kernels: _SMALL_N = 0 sends every graph to the array one
+    for small_n in (spectral._SMALL_N, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_SMALL_N", small_n)
+            # generous max_iter: random weights can put lambda_2 close to lambda_1
+            res = wp.dominant_eigenpair(g, tol=1e-11, max_iter=200_000)
+        assert res.eigenvalue == pytest.approx(
+            oracle.dominant_eigenvalue_dense(g), abs=1e-8)
 
 
 def test_eigen_left_right_directed():
@@ -98,12 +102,15 @@ def test_eigen_parameter_validation():
 
 
 def test_eigen_convergence_error_carries_best():
-    with pytest.raises(ConvergenceError) as exc:
-        wp.dominant_eigenpair(wp.figure1(), max_iter=2)
-    err = exc.value
-    assert err.best is not None
-    assert err.best.iterations <= 2
-    assert err.residual > 1e-10
+    # figure1 runs the list kernel, the n = 60 graph the array kernel
+    for g in (wp.figure1(), wp.barabasi_albert(60, 2, seed=3)):
+        with pytest.raises(ConvergenceError) as exc:
+            wp.dominant_eigenpair(g, max_iter=2)
+        err = exc.value
+        assert err.best is not None
+        assert err.best.iterations <= 2
+        assert err.best.residual == err.residual > 1e-10
+        assert err.best.vector.values.sum() == pytest.approx(g.n, rel=1e-12)
 
 
 def test_spectral_radius_estimate():
