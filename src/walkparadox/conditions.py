@@ -65,10 +65,10 @@ def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> Condition
     # overflow while both factors are finite
     try:
         values = float(lhs), float(rhs), float(slack)
-        if not all(map(math.isfinite, values)):
-            raise OverflowError
     except OverflowError:
-        raise ParameterError(f"{cid}: walk totals exceed the float range of a report") from None
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"{cid}: walk totals exceed the float range of a report")
     lhs_f, rhs_f, slack_f = values
     if guaranteed and not holds:
         raise TheoremViolationError.on(
