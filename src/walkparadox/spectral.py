@@ -14,7 +14,9 @@ Conventions fixed by this module:
   ||A x - lambda x||_2 is measured at that scale.
 * Power iteration always runs on the shifted operator A + I.  The shift
   is invisible in the result (subtracted from the eigenvalue) but makes
-  bipartite and periodic structures converge.
+  bipartite and periodic structures converge.  One loop, in
+  dominant_eigenpair, runs it over one of two step kernels: plain Python
+  lists up to _SMALL_N nodes, numpy arrays above.
 * Katz vectors solve (I - alpha A) x = 1 by conjugate gradients on
   undirected graphs, where the operator is symmetric positive definite,
   and by restarted GMRES on digraphs.  They iterate to the rounding
