@@ -76,7 +76,10 @@ CLI_CASES = {
                     "--format", "csv"], None, 0),
     "search_exhaustive": (["search", "--exhaustive", "--max-n", "4", "--r", "1", "--s", "2"],
                           None, 0),
+    "search_exhaustive_n6": (
+        ["search", "--exhaustive", "--max-n", "6", "--r", "1", "--s", "4"], None, 0),
     "enumerate": (["enumerate", "--max-n", "4"], None, 0),
+    "enumerate_n6": (["enumerate", "--max-n", "6"], None, 0),
     "suite_undirected": (["suite", "--family", "erdos_renyi", "--n", "10", "--p", "0.4",
                           "--seed", "2", "--trials", "3"], None, 0),
     "suite_directed": (["suite", "--family", "erdos_renyi_directed", "--n", "10", "--p", "0.3",
