@@ -42,7 +42,7 @@ from .explore import (
     random_theorem_suite,
     search_lagarias_violation,
 )
-from .generators import FamilySpec, enumerate_connected, make, make_connected
+from .generators import FamilySpec, _connected_mask_blocks, make, make_connected
 from .graph import Graph, _side
 from .paradox import directed_degree_report, paradox_report
 from .reports import canonical_json, document, search_csv, sweep_csv
@@ -272,7 +272,9 @@ def _cmd_search(args) -> tuple:
 
 
 def _cmd_enumerate(args) -> tuple:
-    counts = Counter(g.n for g in enumerate_connected(args.max_n))
+    counts = Counter()
+    for n, _, masks in _connected_mask_blocks(args.max_n):
+        counts[n] += len(masks)
     payload = {
         "type": "enumeration",
         "max_n": args.max_n,

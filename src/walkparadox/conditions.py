@@ -130,14 +130,18 @@ def check_walk_growth(g: Graph, k: int) -> ConditionReport:
     return growth_checks(g, (k,))[0]
 
 
+def _check_orders(r: int, s: int) -> None:
+    if r < 1 or s < 1:
+        raise ParameterError("orders r and s must be >= 1")
+
+
 def check_lagarias(g: Graph, r: int, s: int) -> ConditionReport:
     """Product inequality n * w_{r+s} >= w_r * w_s.
 
     Guaranteed whenever r + s is even; odd orders are informational and
     may legitimately fail.
     """
-    if r < 1 or s < 1:
-        raise ParameterError("orders r and s must be >= 1")
+    _check_orders(r, s)
     return _product_checks(g, ((r, s),))[0]
 
 

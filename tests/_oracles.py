@@ -93,6 +93,59 @@ def bernoulli_edges(n: int, p: float, seed: int, directed: bool) -> list[tuple[i
     return edges
 
 
+def mask_connected(n: int, pairs, mask: int) -> bool:
+    """Is the graph with edge pairs[i] for each bit i of mask connected?
+    One mask at a time: Python-int adjacency words, frontier by frontier."""
+    adj = [0] * n
+    m = mask
+    idx = 0
+    while m:
+        if m & 1:
+            a, b = pairs[idx]
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        m >>= 1
+        idx += 1
+    seen = 1
+    frontier = adj[0]
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        f = frontier
+        while f:
+            low = f & -f
+            nxt |= adj[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & ~seen
+    return seen == (1 << n) - 1
+
+
+def connected_graphs(max_n: int):
+    """Every connected labeled graph on 2..max_n nodes, built one mask at
+    a time in ascending mask order, with the package's max_n checks."""
+    from itertools import combinations
+
+    from walkparadox import ParameterError, build
+
+    if max_n < 2:
+        raise ParameterError("max_n must be >= 2")
+    if max_n > 7:
+        raise ParameterError("enumeration is capped at max_n = 7")
+    for n in range(2, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1, 1 << len(pairs)):
+            if mask_connected(n, pairs, mask):
+                yield build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def exhaustive_search(max_n: int, r: int, s: int):
+    """The exhaustive product-inequality search graph by graph: a build
+    and a check_lagarias report for each graph of connected_graphs."""
+    from walkparadox.explore import _lagarias_search
+
+    return _lagarias_search(connected_graphs(max_n), r, s, f"exhaustive(max_n={max_n})", None)
+
+
 def dominant_eigenvalue_dense(g) -> float:
     """Largest-magnitude eigenvalue via LAPACK on the dense matrix."""
     a = dense_adjacency(g)

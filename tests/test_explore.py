@@ -85,6 +85,57 @@ def test_exhaustive_search_small_orders():
     assert out.family == "exhaustive(max_n=4)" and out.seed is None
 
 
+@pytest.mark.parametrize("rs", [(1, 2), (2, 1), (1, 4), (2, 3), (3, 4)])
+@pytest.mark.parametrize("max_n", [2, 3, 4, 5, 6])
+def test_exhaustive_search_matches_per_graph_reference(max_n, rs):
+    assert exhaustive_lagarias_search(max_n, *rs) == oracle.exhaustive_search(max_n, *rs)
+
+
+def test_exhaustive_search_exact_past_int64():
+    # n^2 (n-1)^35 passes 2^63 at n = 5: int64 totals would wrap into ten
+    # false violations with min slack -4.1e18
+    out = exhaustive_lagarias_search(5, 1, 34)
+    assert out == oracle.exhaustive_search(5, 1, 34)
+    assert out.violations == () and out.min_slack == 0.0
+
+
+@pytest.mark.parametrize("args", [(4, 1, 1000), (8, 0, 1), (4, 0, 1), (4, 2, 2), (1, 0, 1)])
+def test_exhaustive_search_errors_match_reference(args):
+    with pytest.raises(ParameterError) as expected:
+        oracle.exhaustive_search(*args)
+    with pytest.raises(ParameterError) as got:
+        exhaustive_lagarias_search(*args)
+    assert str(got.value) == str(expected.value)
+
+
+def test_exhaustive_search_records_match_reference(monkeypatch):
+    import walkparadox.conditions as conditions
+    import walkparadox.explore as explore
+
+    def doubled_w1(totals):
+        # n w_3 >= 2 w_1 w_2 fails on many graphs, K_n among them
+        totals = list(totals)
+        totals[1] = 2 * totals[1]
+        return totals
+
+    walks, block_walks = conditions.walk_counts_through, explore._block_walk_totals
+    monkeypatch.setattr(conditions, "walk_counts_through",
+                        lambda *a: doubled_w1(walks(*a)))
+    monkeypatch.setattr(explore, "_block_walk_totals", lambda *a: doubled_w1(block_walks(*a)))
+    out = exhaustive_lagarias_search(5, 1, 2)
+    expected = oracle.exhaustive_search(5, 1, 2)
+    assert len(out.violations) > 100
+    assert [(v.trial, v.edges, v.condition_id, v.slack) for v in out.violations] == [
+        (v.trial, v.edges, v.condition_id, v.slack) for v in expected.violations]
+    assert out == expected
+
+
+def test_exhaustive_search_n7():
+    out = exhaustive_lagarias_search(7, 1, 2)
+    assert out.trials == 1_893_731  # A001187: 1 + 4 + 38 + 728 + 26704 + 1866256
+    assert out.violations == () and out.min_slack == 0.0
+
+
 def test_replay_round_trip():
     for g in (wp.figure1(), oracle.weighted_growth_violator()):
         rec = ViolationRecord(

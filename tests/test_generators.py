@@ -1,6 +1,9 @@
 """Family constructors: exact shapes for the fixed examples, structural
 invariants plus determinism for the seeded ones."""
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -175,6 +178,26 @@ def test_enumerate_connected_counts():
         seen.add(key)
         per_n[g.n] = per_n.get(g.n, 0) + 1
     assert per_n == {2: 1, 3: 4, 4: 38, 5: 728}
+    assert [(g.n, g.edges()) for g in wp.enumerate_connected(5)] == [
+        (g.n, g.edges()) for g in oracle.connected_graphs(5)]
+
+
+def test_connected_mask_blocks():
+    from walkparadox.generators import _MASK_BLOCK, _connected_mask_blocks
+
+    counts, last = {}, (0, 0)
+    for n, pairs, masks in _connected_mask_blocks(7):
+        assert pairs == tuple(combinations(range(n), 2))
+        assert 0 < len(masks) <= _MASK_BLOCK and masks.dtype == np.int64
+        assert (n, int(masks[0])) > last and np.all(np.diff(masks) > 0)
+        last = (n, int(masks[-1]))
+        counts[n] = counts.get(n, 0) + len(masks)
+        if n == 7 and counts[7] == len(masks):  # the first n = 7 block, mask by mask
+            kept = set(masks.tolist())
+            assert all(oracle.mask_connected(7, pairs, m) == (m in kept)
+                       for m in range(1, _MASK_BLOCK + 1))
+    # A001187, connected labeled graphs
+    assert counts == {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 
 
 def test_enumerate_connected_bounds():
