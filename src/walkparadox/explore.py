@@ -228,8 +228,7 @@ def exhaustive_lagarias_search(max_n: int, r: int, s: int) -> SearchOutcome:
     exact Python ints otherwise.  Only a graph with negative slack is
     built and checked with check_lagarias for its record, and a block
     whose totals leave the float range is checked graph by graph, so the
-    first such graph raises check_lagarias's ParameterError.  All
-    1,893,731 graphs with n <= 7 take about a second at (r, s) = (1, 2).
+    first such graph raises check_lagarias's ParameterError.
     """
     _check_odd_order(r, s)
     blocks = _connected_mask_blocks(max_n)

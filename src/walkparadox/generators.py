@@ -15,8 +15,7 @@ mixed-paradox examples.
 
 The exhaustive corpus comes from one mask source: the edge subsets of
 each K_n, as int64 bitmasks filtered for connectivity in blocks of at
-most 4,096 (about 6 ms for every n <= 6, 0.5 s for the 2^21 subsets at
-n = 7).  enumerate_connected builds a Graph from each kept mask; the
+most 4,096.  enumerate_connected builds a Graph from each kept mask; the
 exhaustive search builds only the graphs it reports, and the CLI's
 enumerate only counts the masks.
 """

@@ -113,7 +113,7 @@ def test_exhaustive_search_records_match_reference(monkeypatch):
     import walkparadox.explore as explore
 
     def doubled_w1(totals):
-        # n w_3 >= 2 w_1 w_2 fails on many graphs, K_n among them
+        # n w_3 >= 2 w_1 w_2 fails on every connected graph with n <= 5
         totals = list(totals)
         totals[1] = 2 * totals[1]
         return totals
@@ -124,7 +124,7 @@ def test_exhaustive_search_records_match_reference(monkeypatch):
     monkeypatch.setattr(explore, "_block_walk_totals", lambda *a: doubled_w1(block_walks(*a)))
     out = exhaustive_lagarias_search(5, 1, 2)
     expected = oracle.exhaustive_search(5, 1, 2)
-    assert len(out.violations) > 100
+    assert len(out.violations) == out.trials == 771
     assert [(v.trial, v.edges, v.condition_id, v.slack) for v in out.violations] == [
         (v.trial, v.edges, v.condition_id, v.slack) for v in expected.violations]
     assert out == expected
