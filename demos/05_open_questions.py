@@ -1,5 +1,5 @@
 # Search harnesses for the unsettled cases. Three stories:
-#   1. the even-order product inequality, hunted exhaustively and at random
+#   1. the odd-order product inequality, hunted exhaustively and at random
 #   2. a weighted graph where a three-term power series reverses the paradox
 #   3. replaying a recorded violation from its edge list alone
 

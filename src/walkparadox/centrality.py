@@ -39,7 +39,16 @@ __all__ = [
     "KatzEigenvectorDiagnostic",
 ]
 
-_KINDS = ("degree", "eigenvector", "katz", "total", "odd", "even", "power_series")
+# The parameters each kind reads; a spec that sets any other is refused.
+_PARAMS = {
+    "degree": (),
+    "eigenvector": ("tol",),
+    "katz": ("alpha", "tol"),
+    "total": ("beta", "tol"),
+    "odd": ("beta", "tol"),
+    "even": ("beta", "tol"),
+    "power_series": ("coeffs",),
+}
 _DIRECTIONS = ("undirected", "broadcast", "receive")
 
 _DEGREE_LABELS = {"undirected": "degree", "broadcast": "out-degree", "receive": "in-degree"}
@@ -51,7 +60,7 @@ class CentralitySpec:
 
     alpha (katz) and beta (total/odd/even) may be left None to take the
     documented defaults: alpha = 0.5/rho(A), beta = 1.  coeffs is
-    mandatory for power_series.
+    mandatory for power_series.  A parameter the kind never reads is refused.
     """
 
     kind: str
@@ -62,10 +71,13 @@ class CentralitySpec:
     tol: float | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAMS:
             raise ParameterError(f"unknown centrality kind {self.kind!r}")
         if self.direction not in _DIRECTIONS:
             raise ParameterError(f"unknown direction {self.direction!r}")
+        for name in ("alpha", "beta", "coeffs", "tol"):
+            if getattr(self, name) is not None and name not in _PARAMS[self.kind]:
+                raise ParameterError(f"{self.kind} takes no {name}")
         if self.kind == "power_series":
             if self.coeffs is None:
                 raise ParameterError("power_series requires coefficients")

@@ -181,11 +181,12 @@ def _cmd_centrality(args) -> tuple:
     direction = args.direction
     if direction == "auto":
         direction = "broadcast" if g.directed else "undirected"
-    if args.measure == "eigenvector":
-        tol_kw = {} if args.tol is None else {"tol": args.tol}
+    spec = _measure_spec(args, direction, tol=args.tol)
+    if spec.kind == "eigenvector":
+        tol_kw = {} if spec.tol is None else {"tol": spec.tol}
         result = dominant_eigenpair(g, side=_side(g, direction), **tol_kw)
     else:
-        result = compute(g, _measure_spec(args, direction, tol=args.tol))
+        result = compute(g, spec)
     return g, [result], 0, None
 
 
@@ -257,17 +258,21 @@ def _cmd_sweep(args) -> tuple:
 
 
 def _cmd_search(args) -> tuple:
+    # --seed is not refused: its default 0 cannot be told from an explicit 0
     if args.exhaustive:
-        if args.family is not None:
-            raise ParameterError("--exhaustive replaces --family")
+        for flag in ("family", "n", "k", "p", "m", "trials"):
+            if getattr(args, flag) is not None:
+                raise ParameterError(f"--exhaustive replaces --{flag}")
         if args.max_n is None:
             raise ParameterError("--exhaustive requires --max-n")
         res = exhaustive_lagarias_search(args.max_n, args.r, args.s)
     else:
+        if args.max_n is not None:
+            raise ParameterError("--max-n requires --exhaustive")
         if args.family is None:
             raise ParameterError("search requires --family or --exhaustive")
-        res = search_lagarias_violation(_family_spec(args), args.r, args.s,
-                                        trials=args.trials)
+        trials = 100 if args.trials is None else args.trials
+        res = search_lagarias_violation(_family_spec(args), args.r, args.s, trials=trials)
     return None, [res], 1 if res.violations else 0, search_csv(res)
 
 
@@ -304,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="redraw random samples until connected")
     p.add_argument("--one-based", action="store_true",
                    help="write node ids starting at 1")
-    p.add_argument("--out", help="write to this file instead of stdout")
+    p.add_argument("--out", help="write to this file instead of stdout "
+                                 "(relative paths honor WALKPARADOX_OUT_DIR)")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("centrality", help="evaluate one node measure")
@@ -368,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="node cap for --exhaustive (2..7)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=int,
                    help="samples to draw from the family (default 100)")
     _add_output_flags(p, formats=("json", "csv"))
     p.set_defaults(handler=_cmd_search)

@@ -149,35 +149,7 @@ def _check_odd_order(r: int, s: int) -> None:
         raise ParameterError("even order is theorem-guaranteed; search odd r+s instead")
 
 
-def _lagarias_search(graphs, r: int, s: int, family: str, seed) -> SearchOutcome:
-    """Test the odd-order product inequality on each graph in turn.
-
-    Trial i is the i-th graph.  The order check runs before graphs is
-    first consumed, so a lazy iterable's own validation comes second.
-    """
-    _check_odd_order(r, s)
-    violations = []
-    min_slack = None
-    for trials, g in enumerate(graphs, 1):
-        report = check_lagarias(g, r, s)
-        if min_slack is None or report.slack < min_slack:
-            min_slack = report.slack
-        if not report.holds:
-            violations.append(_record(trials - 1, g, report))
-    return SearchOutcome(
-        r=r,
-        s=s,
-        trials=trials,
-        violations=tuple(violations),
-        min_slack=float(min_slack),
-        family=family,
-        seed=seed,
-    )
-
-
-def search_lagarias_violation(
-    spec: FamilySpec, r: int, s: int, trials: int
-) -> SearchOutcome:
+def search_lagarias_violation(spec: FamilySpec, r: int, s: int, trials: int) -> SearchOutcome:
     """Sample graphs from a family and test the odd-order product inequality.
 
     Even r + s is rejected outright: those instances are guaranteed, so
@@ -185,16 +157,27 @@ def search_lagarias_violation(
     derive_seed(spec.seed, i); outcomes are replayable from the stored
     edge lists alone.
     """
-    def samples():
-        if trials < 1:
-            raise ParameterError("trials must be >= 1")
-        for trial in range(trials):
-            g = make(replace(spec, seed=derive_seed(spec.seed, trial)))
-            if g.directed:
-                raise ParameterError("the product inequality applies to undirected families")
-            yield g
-
-    return _lagarias_search(samples(), r, s, spec.family, spec.seed)
+    _check_odd_order(r, s)
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    violations = []
+    for trial in range(trials):
+        g = make(replace(spec, seed=derive_seed(spec.seed, trial)))
+        if g.directed:
+            raise ParameterError("the product inequality applies to undirected families")
+        report = check_lagarias(g, r, s)
+        min_slack = report.slack if trial == 0 else min(min_slack, report.slack)
+        if not report.holds:
+            violations.append(_record(trial, g, report))
+    return SearchOutcome(
+        r=r,
+        s=s,
+        trials=trials,
+        violations=tuple(violations),
+        min_slack=float(min_slack),
+        family=spec.family,
+        seed=spec.seed,
+    )
 
 
 def _block_walk_totals(n: int, pairs, masks, kmax: int, dtype) -> list:

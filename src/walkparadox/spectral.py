@@ -16,7 +16,8 @@ Conventions fixed by this module:
   is invisible in the result (subtracted from the eigenvalue) but makes
   bipartite and periodic structures converge.  One loop, in
   dominant_eigenpair, runs it over one of two step kernels: plain Python
-  lists up to _SMALL_N nodes, numpy arrays above.
+  lists for unweighted graphs up to n=12 (_SMALL_N), numpy arrays for
+  every other graph.
 * Katz vectors solve (I - alpha A) x = 1 by conjugate gradients on
   undirected graphs, where the operator is symmetric positive definite,
   and by restarted GMRES on digraphs.  They iterate to the rounding
@@ -62,10 +63,10 @@ __all__ = [
 # parameters, guarding against eigensolver error near the boundary.
 _ALPHA_MARGIN = 1e-9
 
-# Graphs at or below this size run power iteration in plain Python,
-# where per-iteration overhead is below numpy's dispatch cost.  Measured
-# Python/numpy time ratios on connected ER graphs: 0.5 at n=8, about 0.9
-# at n=12, 1.0-1.3 at n=14-20 and 1.7-2.5 at n=32.
+# Unweighted graphs at or below this size run power iteration in plain
+# Python, where per-iteration overhead is below numpy's dispatch cost.
+# Measured Python/numpy time ratios on connected ER graphs: 0.5 at n=8,
+# about 0.9 at n=12, 1.0-1.3 at n=14-20 and 1.7-2.5 at n=32.
 _SMALL_N = 12
 
 _TAYLOR_CAP = 20_000
@@ -139,33 +140,25 @@ def _start_vector(n: int) -> list[float]:
 
 
 # Step kernels: each maps an iterate x to ((A + I) x scaled to sum n,
-# the Rayleigh quotient of A + I at x, and the residual at x).
+# the Rayleigh quotient of A + I at x, and the residual at x).  The list
+# kernel reads no weights, so it serves unweighted graphs only.
 def _list_kernel(g: Graph):
     n = g.n
     ptr = g.indptr.tolist()
     cols = g.indices.tolist()
-    wts = g.weights.tolist()
-    plain = g.unweighted
 
     def step(x):
         z = [0.0] * n
-        if plain:
-            for i in range(n):
-                s = 0.0
-                for t in range(ptr[i], ptr[i + 1]):
-                    s += x[cols[t]]
-                z[i] = s + x[i]
-        else:
-            for i in range(n):
-                s = 0.0
-                for t in range(ptr[i], ptr[i + 1]):
-                    s += wts[t] * x[cols[t]]
-                z[i] = s + x[i]
         xz = 0.0
         xx = 0.0
         for i in range(n):
-            xz += x[i] * z[i]
-            xx += x[i] * x[i]
+            xi = x[i]
+            s = 0.0
+            for t in range(ptr[i], ptr[i + 1]):
+                s += x[cols[t]]
+            z[i] = zi = s + xi
+            xz += xi * zi
+            xx += xi * xi
         lam = xz / xx
         rr = 0.0
         for i in range(n):
@@ -206,7 +199,8 @@ def dominant_eigenpair(
     if max_iter is None:
         max_iter = 100 * g.n + 1000
     _check_max_iter(max_iter)
-    step, x = (_list_kernel if g.n <= _SMALL_N else _array_kernel)(work)
+    small = g.n <= _SMALL_N and g.unweighted
+    step, x = (_list_kernel if small else _array_kernel)(work)
     # best iterate (residual, x, eigenvalue, iteration); the first within tol is the best
     best = (math.inf, None, 0.0, 0)
     for it in range(1, max_iter + 1):
@@ -432,20 +426,23 @@ def _taylor_action(
     # Terms grow until k ~ beta * max row sum; never trust the tolerance
     # test before that point.
     settle = beta * float(_row_sums(g).max())
+    # A >= 0 and the first term is 1, so terms and total are nonnegative
+    # and can overflow only to +inf, never to NaN
     with np.errstate(over="ignore"):
         for k in range(1, _TAYLOR_CAP + 1):
             term = (beta / k) * _matvec(g, term)
-            if not np.all(np.isfinite(term)):
+            top = float(term.max())
+            if top == math.inf:
                 raise ParameterError(
                     f"series terms overflowed at order {k}; use a smaller beta"
                 )
             if parity is None or k % 2 == parity:
                 total += term
-            if k >= settle and float(np.abs(term).max()) <= tol * float(np.abs(total).max()):
+            if k >= settle and top <= tol * float(total.max()):
                 return NodeVector(total, label)
     raise ConvergenceError(
         f"series did not settle within {_TAYLOR_CAP} terms",
-        residual=float(np.abs(term).max()),
+        residual=top,
         best=NodeVector(total, label),
     )
 

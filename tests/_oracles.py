@@ -140,10 +140,21 @@ def connected_graphs(max_n: int):
 
 def exhaustive_search(max_n: int, r: int, s: int):
     """The exhaustive product-inequality search graph by graph: a build
-    and a check_lagarias report for each graph of connected_graphs."""
-    from walkparadox.explore import _lagarias_search
+    and a check_lagarias report for each graph of connected_graphs.
+    Even r + s is refused before the first graph is drawn."""
+    from walkparadox import ParameterError, SearchOutcome, ViolationRecord, check_lagarias
 
-    return _lagarias_search(connected_graphs(max_n), r, s, f"exhaustive(max_n={max_n})", None)
+    if (r + s) % 2 == 0:
+        raise ParameterError("even order is theorem-guaranteed; search odd r+s instead")
+    violations, slacks = [], []
+    for trial, g in enumerate(connected_graphs(max_n)):
+        report = check_lagarias(g, r, s)
+        slacks.append(report.slack)
+        if not report.holds:
+            violations.append(ViolationRecord(trial, g.n, g.directed, tuple(g.edges()),
+                                              report.condition_id, report.slack))
+    return SearchOutcome(r, s, len(slacks), tuple(violations), float(min(slacks)),
+                         f"exhaustive(max_n={max_n})", None)
 
 
 def dominant_eigenvalue_dense(g) -> float:

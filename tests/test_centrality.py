@@ -44,6 +44,20 @@ def test_spec_validation():
         CentralitySpec("katz", alpha=-1.0)
     with pytest.raises(ParameterError, match="beta"):
         CentralitySpec("total", beta=0.0)
+    # a parameter the kind never reads is refused, not dropped
+    for kind, name, params in (
+        ("degree", "alpha", {"alpha": 0.3}),
+        ("degree", "tol", {"tol": 1e-9}),
+        ("eigenvector", "beta", {"beta": 2.0}),
+        ("katz", "beta", {"beta": 2.0}),
+        ("katz", "coeffs", {"coeffs": (1.0, 2.0)}),
+        ("total", "alpha", {"alpha": 0.3}),
+        ("odd", "coeffs", {"coeffs": (1.0,)}),
+        ("power_series", "tol", {"coeffs": (1.0,), "tol": 1e-9}),
+        ("power_series", "beta", {"coeffs": (1.0,), "beta": 1.0}),
+    ):
+        with pytest.raises(ParameterError, match=f"{kind} takes no {name}"):
+            CentralitySpec(kind, **params)
     # plain tuples are coerced
     spec = CentralitySpec("power_series", coeffs=(1.0, 2.0))
     assert spec.coeffs.values == (1.0, 2.0)

@@ -3,7 +3,10 @@
 import ast
 import io
 import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,19 @@ def test_centrality_direction_validation(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["paradox", "--family", "figure1", "--measure", "katz", "--beta", "2"],
+    ["paradox", "--family", "figure1", "--measure", "katz", "--coeffs", "1,2"],
+    ["centrality", "--family", "cycle", "--n", "5", "--measure", "degree", "--alpha", "0.3"],
+    ["centrality", "--family", "cycle", "--n", "5", "--measure", "eigenvector", "--beta", "2"],
+    ["centrality", "--family", "cycle", "--n", "5", "--measure", "power-series",
+     "--coeffs", "1,2", "--tol", "1e-9"],
+])
+def test_measure_flags_it_never_reads_are_refused(argv, capsys):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_conditions_default_batteries(capsys):
     code, doc = run_json(capsys, ["conditions", "--family", "figure1"])
     assert code == 0
@@ -129,11 +145,23 @@ def test_search_exhaustive(capsys):
 
 
 def test_search_flag_conflicts(capsys):
-    assert cli.run(["search", "--r", "1", "--s", "2"]) == 2
-    assert cli.run(["search", "--exhaustive", "--r", "1", "--s", "2"]) == 2
-    assert cli.run(["search", "--exhaustive", "--max-n", "4", "--family", "cycle",
-                    "--r", "1", "--s", "2"]) == 2
-    capsys.readouterr()
+    exhaustive = ["search", "--exhaustive", "--max-n", "4", "--r", "1", "--s", "2"]
+    for argv in (
+        ["search", "--r", "1", "--s", "2"],
+        ["search", "--exhaustive", "--r", "1", "--s", "2"],
+        exhaustive + ["--family", "cycle"],
+        # each sampling flag is refused, not ignored, by the exhaustive mode
+        exhaustive + ["--trials", "5"],
+        exhaustive + ["--n", "5"],
+        exhaustive + ["--k", "2"],
+        exhaustive + ["--p", "0.5"],
+        exhaustive + ["--m", "2"],
+        # and --max-n by the sampled mode
+        ["search", "--family", "cycle", "--n", "5", "--max-n", "3",
+         "--r", "1", "--s", "2", "--trials", "2"],
+    ):
+        assert cli.run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
 
 
 def test_enumerate(capsys):
@@ -387,3 +415,17 @@ def test_unwritable_out_is_a_usage_error(name, tmp_path, capsys):
     assert captured.out == ""
     assert "error:" in captured.err
     assert not target.parent.exists()
+
+
+def test_runtime_imports_numpy_only():
+    # the test-only oracles (scipy, networkx) and the test runner must not
+    # leak into what `import walkparadox.cli` loads
+    package_root = str(Path(wp.__file__).resolve().parents[1])
+    probe = ("import sys, walkparadox, walkparadox.cli; "
+             "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PATH": "/usr/bin:/bin", "PYTHONPATH": package_root})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "numpy" in loaded and "walkparadox" in loaded
+    assert loaded.isdisjoint({"scipy", "networkx", "pytest", "hypothesis"})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import walkparadox as wp
 from walkparadox import spectral
@@ -59,7 +60,8 @@ def test_eigen_result_contract_figure1():
         oracle.dominant_eigenvalue_dense(g), abs=1e-10)
 
 
-@given(graphs(max_n=7, weighted=True, connected=True, directed=False))
+@given(st.one_of(graphs(max_n=7, weighted=w, connected=True, directed=False)
+                 for w in (True, False)))
 @settings(max_examples=40, deadline=None)
 def test_eigen_matches_dense_eigensolver(g):
     # both step kernels: _SMALL_N = 0 sends every graph to the array one
@@ -70,6 +72,26 @@ def test_eigen_matches_dense_eigensolver(g):
             res = wp.dominant_eigenpair(g, tol=1e-11, max_iter=200_000)
         assert res.eigenvalue == pytest.approx(
             oracle.dominant_eigenvalue_dense(g), abs=1e-8)
+
+
+def test_list_kernel_serves_unweighted_tiny_graphs_only(monkeypatch):
+    list_kernel, calls = spectral._list_kernel, []
+
+    def counted(g):
+        if not g.unweighted:
+            raise AssertionError("the list kernel reads no weights")
+        calls.append(g.n)
+        return list_kernel(g)
+
+    monkeypatch.setattr(spectral, "_list_kernel", counted)
+    for n in (3, spectral._SMALL_N):
+        weighted = wp.build(n, [(i, (i + 1) % n, 1.0 + i) for i in range(n)])
+        assert wp.dominant_eigenpair(weighted).residual <= 1e-10
+        assert wp.dominant_eigenpair(weighted, side="left").residual <= 1e-10
+    assert calls == []
+    for g in (wp.cycle(3), wp.cycle(spectral._SMALL_N), wp.cycle(spectral._SMALL_N + 1)):
+        wp.dominant_eigenpair(g)
+    assert calls == [3, spectral._SMALL_N]
 
 
 def test_eigen_left_right_directed():
@@ -287,8 +309,9 @@ def test_taylor_beta_validation_and_overflow():
     g = wp.complete(4)
     with pytest.raises(ParameterError, match="beta"):
         wp.exp_action(g, -1.0)
-    with pytest.raises(ParameterError, match="overflow"):
-        wp.exp_action(g, 300.0)
+    for action in (wp.exp_action, wp.odd_action, wp.even_action):
+        with pytest.raises(ParameterError, match="overflowed at order 387;"):
+            action(g, 300.0)
 
 
 def test_action_labels():
