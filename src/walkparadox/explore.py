@@ -8,9 +8,10 @@ a suite run, the run aborts with a replayable dump, because that can
 only mean a bug on this side of the mathematics.
 
 The exhaustive product-inequality search is the one harness that does
-not go graph by graph: it computes exact walk totals for blocks of up to
-4,096 enumerated graphs at once, straight from their edge bitmasks, and
-builds a Graph only for a graph it reports.
+not go graph by graph while int64 holds its walk totals: it computes them
+for blocks of up to 4,096 enumerated graphs at once, straight from their
+edge bitmasks, and builds a Graph only for a graph it reports.  Past that
+bound it checks each graph with check_lagarias, in exact integers.
 """
 
 from __future__ import annotations
@@ -180,16 +181,16 @@ def search_lagarias_violation(spec: FamilySpec, r: int, s: int, trials: int) -> 
     )
 
 
-def _block_walk_totals(n: int, pairs, masks, kmax: int, dtype) -> list:
-    """Walk totals w_0..w_kmax, one array each, for every graph in a block
-    of edge masks (bit i set: edge pairs[i]).
+def _block_walk_totals(n: int, pairs, masks, kmax: int) -> list:
+    """Walk totals w_0..w_kmax, one int64 array each, for every graph in a
+    block of edge masks (bit i set: edge pairs[i]).
 
     The block's walk vectors A^k 1 are the columns of one (n, B) array;
     A x adds, per pair, each endpoint's row into the other's wherever
     the pair's edge bit is set.
     """
     edge = [masks >> i & 1 != 0 for i in range(len(pairs))]
-    x = np.ones((n, len(masks)), dtype=dtype)
+    x = np.ones((n, len(masks)), dtype=np.int64)
     totals = [x.sum(axis=0)]
     for _ in range(kmax):
         y = np.zeros_like(x)
@@ -204,32 +205,31 @@ def _block_walk_totals(n: int, pairs, masks, kmax: int, dtype) -> list:
 def exhaustive_lagarias_search(max_n: int, r: int, s: int) -> SearchOutcome:
     """Test every connected labeled graph up to max_n nodes.
 
-    Trial i is the i-th graph of enumerate_connected(max_n), but no graph
-    is built to test it: walk totals and slacks n w_{r+s} - w_r w_s come
-    for whole blocks of edge masks at once, in int64 while
-    n^2 (n-1)^(r+s), which bounds both products, stays below 2^63 and in
-    exact Python ints otherwise.  Only a graph with negative slack is
-    built and checked with check_lagarias for its record, and a block
-    whose totals leave the float range is checked graph by graph, so the
-    first such graph raises check_lagarias's ParameterError.
+    Trial i is the i-th graph of enumerate_connected(max_n).  While
+    n^2 (n-1)^(r+s), which bounds both products, stays below 2^63, no
+    graph is built to test it: walk totals and slacks n w_{r+s} - w_r w_s
+    come in int64 for whole blocks of edge masks at once, and only a
+    graph with negative slack is built and checked with check_lagarias
+    for its record.  Past that bound every graph is checked with
+    check_lagarias, which walks in exact Python ints, so the first graph
+    whose totals leave the float range raises its ParameterError.
     """
     _check_odd_order(r, s)
     blocks = _connected_mask_blocks(max_n)
     _check_orders(r, s)
     trials, violations, min_slack = 0, [], None
     for n, pairs, masks in blocks:
-        dtype = np.int64 if n * n * (n - 1) ** (r + s) < 2**63 else object
-        w = _block_walk_totals(n, pairs, masks, r + s, dtype)
-        lhs, rhs = n * w[r + s], w[r] * w[s]
-        try:
-            float(lhs.max()), float(rhs.max())
-        except OverflowError:  # the first graph out of range raises in _report
-            for mask in masks.tolist():
-                check_lagarias(_mask_graph(n, pairs, mask), r, s)
-        slack = lhs - rhs
-        low = slack.min()
+        if n * n * (n - 1) ** (r + s) < 2**63:
+            w = _block_walk_totals(n, pairs, masks, r + s)
+            slack = n * w[r + s] - w[r] * w[s]
+            low, failed = slack.min(), np.flatnonzero(slack < 0).tolist()
+        else:
+            reports = [check_lagarias(_mask_graph(n, pairs, mask), r, s)
+                       for mask in masks.tolist()]
+            low = min(report.slack for report in reports)
+            failed = [i for i, report in enumerate(reports) if not report.holds]
         min_slack = low if min_slack is None else min(min_slack, low)
-        for i in np.flatnonzero(slack < 0).tolist():
+        for i in failed:
             g = _mask_graph(n, pairs, int(masks[i]))
             violations.append(_record(trials + i, g, check_lagarias(g, r, s)))
         trials += len(masks)

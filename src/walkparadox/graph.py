@@ -296,18 +296,12 @@ def is_strongly_connected(g: Graph) -> bool:
 def is_regular(g: Graph, orientation: str = "undirected"):
     """Whether all (out-/in-)degrees coincide.
 
-    Returns ``(True, common_degree)`` or ``(False, None)``.  Unweighted
-    graphs compare integer degrees exactly; weighted graphs allow a
-    1e-12 relative spread.
+    Returns ``(True, common_degree)`` or ``(False, None)``, the degree a
+    float.  Row sums may spread by 1e-12 relative to the largest.  On an
+    unweighted graph they are exact integers, and unequal ones differ by
+    at least 1, so there the test is exact.
     """
-    h = _oriented(g, orientation)
-    if g.unweighted:
-        counts = int_out_degrees(h)
-        first = counts[0]
-        if all(c == first for c in counts):
-            return True, first
-        return False, None
-    sums = _row_sums(h)
+    sums = _row_sums(_oriented(g, orientation))
     lo, hi = float(sums.min()), float(sums.max())
     if hi - lo <= _REGULAR_RTOL * max(abs(hi), abs(lo), 1.0):
         return True, float(sums.mean())

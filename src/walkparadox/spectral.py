@@ -65,8 +65,9 @@ _ALPHA_MARGIN = 1e-9
 
 # Unweighted graphs at or below this size run power iteration in plain
 # Python, where per-iteration overhead is below numpy's dispatch cost.
-# Measured Python/numpy time ratios on connected ER graphs: 0.5 at n=8,
-# about 0.9 at n=12, 1.0-1.3 at n=14-20 and 1.7-2.5 at n=32.
+# Python/numpy time ratios on 30 connected ER(n, 0.4) graphs: 0.43-0.45
+# at n=8, 0.55-0.63 at n=12, 0.72-0.80 at n=16 and 0.87-0.96 at n=20.
+# The kernels round differently, so moving the cut moves last bits.
 _SMALL_N = 12
 
 _TAYLOR_CAP = 20_000
@@ -141,21 +142,21 @@ def _start_vector(n: int) -> list[float]:
 
 # Step kernels: each maps an iterate x to ((A + I) x scaled to sum n,
 # the Rayleigh quotient of A + I at x, and the residual at x).  The list
-# kernel reads no weights, so it serves unweighted graphs only.
+# kernel walks the cached out_lists and reads no weights, so it serves
+# unweighted graphs only.
 def _list_kernel(g: Graph):
     n = g.n
-    ptr = g.indptr.tolist()
-    cols = g.indices.tolist()
+    lists = g.out_lists
 
     def step(x):
         z = [0.0] * n
         xz = 0.0
         xx = 0.0
-        for i in range(n):
+        for i, nbrs in enumerate(lists):
             xi = x[i]
             s = 0.0
-            for t in range(ptr[i], ptr[i + 1]):
-                s += x[cols[t]]
+            for j in nbrs:
+                s += x[j]
             z[i] = zi = s + xi
             xz += xi * zi
             xx += xi * xi
@@ -424,8 +425,12 @@ def _taylor_action(
     term = np.ones(g.n)
     total = term.copy() if parity in (None, 0) else np.zeros(g.n)
     # Terms grow until k ~ beta * max row sum; never trust the tolerance
-    # test before that point.
+    # test before that point, so a settle point past the cap is refused
+    # before any term is formed.
     settle = beta * float(_row_sums(g).max())
+    if settle > _TAYLOR_CAP:
+        raise ConvergenceError(f"series cannot settle within {_TAYLOR_CAP} terms: "
+                               f"beta * max row sum = {settle:.6g}")
     # A >= 0 and the first term is 1, so terms and total are nonnegative
     # and can overflow only to +inf, never to NaN
     with np.errstate(over="ignore"):
@@ -493,10 +498,10 @@ def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
     totals, sums = [g.n], None
     with quiet:
         if mixed:
-            d = step(x)  # A 1, the out-degrees: built for mixed sums only
+            d = step(x)  # A 1, the out-degrees, and the first walk vector
             sums = [dot(d, x)]
-        for _ in range(kmax):
-            x = step(x)
+        for k in range(kmax):
+            x = d if mixed and k == 0 else step(x)
             totals.append(total(x))
             if mixed:
                 sums.append(dot(d, x))

@@ -149,6 +149,25 @@ def test_is_regular():
         wp.is_regular(g, "undirected")
 
 
+def _int_regular(g, orientation):
+    """(True, d) when every integer degree on a side is d, else (False, None)."""
+    end = 1 if orientation == "in" else 0
+    counts = [0] * g.n
+    for arc in g.arcs():
+        counts[arc[end]] += 1
+    return (True, counts[0]) if len(set(counts)) == 1 else (False, None)
+
+
+def test_is_regular_matches_integer_degrees():
+    for g in wp.enumerate_connected(5):
+        assert wp.is_regular(g) == _int_regular(g, "out")
+    for family in (wp.hub_cycle, wp.star_out, wp.directed_cycle):
+        for n in range(3, 9):
+            g = family(n)
+            for side in ("out", "in"):
+                assert wp.is_regular(g, side) == _int_regular(g, side)
+
+
 def test_is_regular_weighted():
     g = wp.build(4, [(i, (i + 1) % 4, 2.5) for i in range(4)])
     ok, value = wp.is_regular(g)

@@ -314,6 +314,38 @@ def test_taylor_beta_validation_and_overflow():
             action(g, 300.0)
 
 
+def _counted_matvec(monkeypatch):
+    matvec, calls = spectral._matvec, []
+
+    def counted(g, x):
+        calls.append(g.n)
+        return matvec(g, x)
+
+    monkeypatch.setattr(spectral, "_matvec", counted)
+    return calls
+
+
+def test_taylor_refuses_a_settle_point_past_the_cap(monkeypatch):
+    # terms are trusted only from k = beta * max row sum = 24999 on,
+    # and the sum stops at 20000 terms: refused before any product
+    calls = _counted_matvec(monkeypatch)
+    g = wp.star_undirected(25_000)
+    for action in (wp.exp_action, wp.odd_action, wp.even_action):
+        with pytest.raises(ConvergenceError, match="20000 terms: beta \\* max row sum = 24999"):
+            action(g, 1.0)
+    assert calls == []
+
+
+def test_taylor_runs_when_the_settle_point_meets_the_cap(monkeypatch):
+    monkeypatch.setattr(spectral, "_TAYLOR_CAP", 10)
+    calls = _counted_matvec(monkeypatch)
+    assert wp.exp_action(wp.star_undirected(11), 1.0, tol=0.5).values.min() > 1.0
+    assert len(calls) == 10
+    with pytest.raises(ConvergenceError, match="within 10 terms: beta \\* max row sum = 11"):
+        wp.exp_action(wp.star_undirected(12), 1.0, tol=0.5)
+    assert len(calls) == 10
+
+
 def test_action_labels():
     g = wp.figure1()
     assert wp.exp_action(g, 1.0).label == "total[beta=1]"
@@ -365,6 +397,18 @@ def test_walk_counts_match_int_oracle(g):
 def test_mixed_walk_counts_match_int_oracle(g):
     for k in range(5):
         assert wp.mixed_walk_count(g, k) == oracle.mixed_total_int(g, k)
+
+
+def test_mixed_walk_pass_forms_a1_once(monkeypatch):
+    g = wp.build(4, [(i, (i + 1) % 4, 0.5 + i) for i in range(4)], directed=True)
+    a = oracle.dense_adjacency(g)
+    a4 = np.linalg.matrix_power(a, 4)
+    calls = _counted_matvec(monkeypatch)
+    assert wp.walk_counts_through(g, 4)[4] == pytest.approx(a4.sum(), rel=1e-12)
+    assert len(calls) == 4
+    # 1^T A^T A^4 1 takes the same four products: A 1 is the first walk vector
+    assert wp.mixed_walk_count(g, 4) == pytest.approx(a.sum(axis=1) @ a4.sum(axis=1), rel=1e-12)
+    assert len(calls) == 8
 
 
 @given(graphs(max_n=7, weighted=True))
