@@ -303,7 +303,7 @@ def is_regular(g: Graph, orientation: str = "undirected"):
     """
     sums = _row_sums(_oriented(g, orientation))
     lo, hi = float(sums.min()), float(sums.max())
-    if hi - lo <= _REGULAR_RTOL * max(abs(hi), abs(lo), 1.0):
+    if hi - lo <= _REGULAR_RTOL * hi:
         return True, float(sums.mean())
     return False, None
 

@@ -12,12 +12,16 @@ Conventions fixed by this module:
 * Dominant eigenvectors are scaled to sum n, so paradox gaps computed
   from them are comparable across graphs; the reported residual
   ||A x - lambda x||_2 is measured at that scale.
+* Graphs with n <= 12 (_SMALL_N) are solved densely: one LAPACK
+  eigendecomposition gives the Perron pair (eigh on undirected graphs,
+  eig on digraphs) and, on undirected graphs, exp, sinh and cosh of
+  beta A applied to 1.  Larger graphs iterate.
 * Power iteration always runs on the shifted operator A + I.  The shift
   is invisible in the result (subtracted from the eigenvalue) but makes
-  bipartite and periodic structures converge.  One loop, in
-  dominant_eigenpair, runs it over one of two step kernels: plain Python
-  lists for unweighted graphs up to n=12 (_SMALL_N), numpy arrays for
-  every other graph.
+  bipartite and periodic structures converge.
+* Matrix-function actions on digraphs and on larger graphs sum the
+  Taylor series term by term, since the eigenvectors of a non-normal
+  matrix are not orthogonal.
 * Katz vectors solve (I - alpha A) x = 1 by conjugate gradients on
   undirected graphs, where the operator is symmetric positive definite,
   and by restarted GMRES on digraphs.  They iterate to the rounding
@@ -63,11 +67,15 @@ __all__ = [
 # parameters, guarding against eigensolver error near the boundary.
 _ALPHA_MARGIN = 1e-9
 
-# Unweighted graphs at or below this size run power iteration in plain
-# Python, where per-iteration overhead is below numpy's dispatch cost.
-# Python/numpy time ratios on 30 connected ER(n, 0.4) graphs: 0.43-0.45
-# at n=8, 0.55-0.63 at n=12, 0.72-0.80 at n=16 and 0.87-0.96 at n=20.
-# The kernels round differently, so moving the cut moves last bits.
+# Graphs at or below this size are solved by one dense eigendecomposition.
+# Dense/iterative time ratios at n = 12, 16, 24, 32, 48, 64 (20 graphs per
+# n, medians of 7 rounds, 2-vCPU x86_64 host, one BLAS thread): Perron
+# pair by eigh on connected ER(n, 0.4) 0.17, 0.21, 0.38, 0.51, 0.90, 1.17;
+# sinh by eigh 0.29, 0.32, 0.40, 0.41, 0.54, 0.46; Perron pair by eig on
+# strongly connected directed ER(n, 0.4) 0.35, 0.55, 0.91, 1.51, 2.48,
+# 4.71.  With numpy's default BLAS threads, eigh lost from n = 48 and sinh
+# from n = 32.  The paths round differently, so moving the cut moves
+# last bits.
 _SMALL_N = 12
 
 _TAYLOR_CAP = 20_000
@@ -122,7 +130,8 @@ class EigenResult:
     """Dominant eigenpair with the residual actually achieved.
 
     The vector is strictly positive and scaled so its entries sum to n;
-    residual is ||A x - eigenvalue * x||_2 at that scale.
+    residual is ||A x - eigenvalue * x||_2 at that scale.  iterations
+    counts power steps; a dense solve takes none and reports 0.
     """
 
     eigenvalue: float
@@ -132,52 +141,31 @@ class EigenResult:
     iterations: int
 
 
-def _start_vector(n: int) -> list[float]:
+def _start_vector(n: int) -> np.ndarray:
     # 1/n with a +i/n^2 ramp: deterministic, positive, breaks the
     # symmetry that would stall iteration on vertex-transitive graphs.
     raw = [1.0 / n + i / (n * n) for i in range(n)]
     s = sum(raw)
-    return [v * (n / s) for v in raw]
+    return np.array([v * (n / s) for v in raw])
 
 
-# Step kernels: each maps an iterate x to ((A + I) x scaled to sum n,
-# the Rayleigh quotient of A + I at x, and the residual at x).  The list
-# kernel walks the cached out_lists and reads no weights, so it serves
-# unweighted graphs only.
-def _list_kernel(g: Graph):
-    n = g.n
-    lists = g.out_lists
-
-    def step(x):
-        z = [0.0] * n
-        xz = 0.0
-        xx = 0.0
-        for i, nbrs in enumerate(lists):
-            xi = x[i]
-            s = 0.0
-            for j in nbrs:
-                s += x[j]
-            z[i] = zi = s + xi
-            xz += xi * zi
-            xx += xi * xi
-        lam = xz / xx
-        rr = 0.0
-        for i in range(n):
-            d = z[i] - lam * x[i]
-            rr += d * d
-        scale = n / sum(z)
-        return [v * scale for v in z], lam, math.sqrt(rr)
-
-    return step, _start_vector(n)
+def _dense(g: Graph) -> np.ndarray:
+    a = np.zeros((g.n, g.n))
+    a[g.rows, g.indices] = g.weights
+    return a
 
 
-def _array_kernel(g: Graph):
-    def step(x):
-        z = _matvec(g, x) + x
-        lam = float(x @ z) / float(x @ x)
-        return z * (g.n / float(z.sum())), lam, float(np.linalg.norm(z - lam * x))
-
-    return step, np.asarray(_start_vector(g.n))
+def _dense_perron(g: Graph) -> tuple[float, np.ndarray]:
+    """Perron root of g and its eigenvector from one LAPACK call: eigh's
+    last pair when A is symmetric, else eig's eigenvalue of largest real
+    part, which on an irreducible nonnegative matrix is the Perron root."""
+    if g.directed:
+        vals, vecs = np.linalg.eig(_dense(g))
+        k = int(np.argmax(vals.real))
+    else:
+        vals, vecs = np.linalg.eigh(_dense(g))
+        k = -1
+    return float(vals[k].real), np.abs(vecs[:, k])
 
 
 def dominant_eigenpair(
@@ -185,10 +173,13 @@ def dominant_eigenpair(
 ) -> EigenResult:
     """Perron eigenpair of a connected (strongly connected) graph.
 
-    side "left" is served by running the right iteration on the
-    reversed graph, so left on g and right on its transpose coincide
-    exactly.  Raises ConvergenceError carrying the best iterate if the
-    residual never reaches tol.
+    Graphs with n <= 12 (_SMALL_N) are solved by one dense
+    eigendecomposition, which takes no power step (iterations 0);
+    larger ones run power iteration on A + I for at most max_iter steps
+    (default 100 n + 1000).  On either path tol bounds the residual.
+    side "left" is served by solving on the reversed graph, so left on
+    g and right on its transpose coincide exactly.  Raises
+    ConvergenceError carrying the best pair if the residual exceeds tol.
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right': {side!r}")
@@ -197,23 +188,36 @@ def dominant_eigenpair(
         raise GraphError("irreducibility required: graph is not (strongly) connected")
 
     work = _oriented(g, side)
+    n = g.n
     if max_iter is None:
-        max_iter = 100 * g.n + 1000
+        max_iter = 100 * n + 1000
     _check_max_iter(max_iter)
-    small = g.n <= _SMALL_N and g.unweighted
-    step, x = (_list_kernel if small else _array_kernel)(work)
+    label = f"eigenvector[{side}]"
+    if n <= _SMALL_N:
+        lam, x = _dense_perron(work)
+        x = x * (n / float(x.sum()))
+        res = float(np.linalg.norm(_matvec(work, x) - lam * x))
+        best = EigenResult(lam, NodeVector(x, label), side, res, 0)
+        if res <= tol:
+            return best
+        raise ConvergenceError(
+            f"dense eigensolver residual {res:.3g} exceeds tol {tol:g}",
+            residual=res, best=best)
+
+    x = _start_vector(n)
     # best iterate (residual, x, eigenvalue, iteration); the first within tol is the best
     best = (math.inf, None, 0.0, 0)
     for it in range(1, max_iter + 1):
-        x_next, lam, res = step(x)
+        z = _matvec(work, x) + x
+        lam = float(x @ z) / float(x @ x)
+        res = float(np.linalg.norm(z - lam * x))
         if res < best[0]:
             best = (res, x, lam - 1.0, it)
             if res <= tol:
                 break
-        x = x_next
+        x = z * (n / float(z.sum()))
     res, x, lam, iters = best
-    best = None if x is None else EigenResult(
-        lam, NodeVector(x, f"eigenvector[{side}]"), side, res, iters)
+    best = None if x is None else EigenResult(lam, NodeVector(x, label), side, res, iters)
     if res <= tol:
         return best
     raise ConvergenceError(
@@ -417,11 +421,26 @@ def series_action(g: Graph, coeffs: SeriesCoefficients) -> NodeVector:
     return NodeVector(x, f"series[{tag}]")
 
 
+def _dense_function(g: Graph, beta: float, parity: int | None) -> np.ndarray:
+    """U f(beta Theta) U^T 1 from eigh of the symmetric A, f = exp, sinh
+    (parity 1) or cosh (parity 0); exact to rounding, with no truncation."""
+    theta, u = np.linalg.eigh(_dense(g))
+    f = {None: np.exp, 1: np.sinh, 0: np.cosh}[parity]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = u @ (f(beta * theta) * (u.T @ np.ones(g.n)))
+    if not np.isfinite(x).all():
+        raise ParameterError(f"series overflowed: beta * lambda_1 = {beta * theta[-1]:.6g}; "
+                             "use a smaller beta")
+    return x
+
+
 def _taylor_action(
     g: Graph, beta: float, tol: float, parity: int | None, label: str
 ) -> NodeVector:
     beta = _check_positive("beta", beta)
     _check_positive("tol", tol)
+    if g.n <= _SMALL_N and not g.directed:
+        return NodeVector(_dense_function(g, beta, parity), label)
     term = np.ones(g.n)
     total = term.copy() if parity in (None, 0) else np.zeros(g.n)
     # Terms grow until k ~ beta * max row sum; never trust the tolerance
@@ -453,17 +472,28 @@ def _taylor_action(
 
 
 def exp_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
-    """exp(beta A) 1 by adaptive truncated Taylor summation."""
+    """exp(beta A) 1.
+
+    Undirected graphs with n <= 12 (_SMALL_N) take U exp(beta Theta) U^T 1
+    from one dense eigh, exact to rounding; tol is validated but has
+    nothing to bound there.  Every other graph sums the Taylor series
+    until a term falls below tol times the largest entry of the sum, past
+    the point k = beta * (max row sum) where terms stop growing and
+    within 20,000 terms.  A result that leaves the float range raises
+    ParameterError.
+    """
     return _taylor_action(g, beta, tol, None, f"total[beta={beta:.6g}]")
 
 
 def odd_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
-    """sinh(beta A) 1: the odd-power half of the exponential series."""
+    """sinh(beta A) 1: the odd-power half of the exponential series,
+    on the same paths as exp_action."""
     return _taylor_action(g, beta, tol, 1, f"odd[beta={beta:.6g}]")
 
 
 def even_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
-    """cosh(beta A) 1: the even-power half of the exponential series."""
+    """cosh(beta A) 1: the even-power half of the exponential series,
+    on the same paths as exp_action."""
     return _taylor_action(g, beta, tol, 0, f"even[beta={beta:.6g}]")
 
 

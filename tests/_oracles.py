@@ -158,12 +158,12 @@ def exhaustive_search(max_n: int, r: int, s: int):
 
 
 def dominant_eigenvalue_dense(g) -> float:
-    """Largest-magnitude eigenvalue via LAPACK on the dense matrix."""
+    """Spectral radius via LAPACK on the dense matrix: the Perron root of
+    an irreducible graph, also when periodicity puts -rho beside it."""
     a = dense_adjacency(g)
     if not g.directed:
         return float(np.linalg.eigvalsh(a)[-1])
-    vals = np.linalg.eigvals(a)
-    return float(max(vals, key=abs).real)
+    return float(np.abs(np.linalg.eigvals(a)).max())
 
 
 def katz_dense(g, alpha: float) -> np.ndarray:

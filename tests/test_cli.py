@@ -127,6 +127,14 @@ def test_walk_totals_past_float_range_exit_two(argv, capsys):
     assert "Traceback" not in err
 
 
+def test_series_overflow_exits_two(capsys):
+    argv = ["paradox", "--family", "complete", "--n", "4", "--measure", "odd", "--beta", "300"]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "beta * lambda_1 = 900; use a smaller beta" in err
+
+
 def test_search_even_order_rejected(capsys):
     code = cli.run(["search", "--family", "erdos_renyi", "--n", "8", "--p", "0.5",
                     "--r", "1", "--s", "1"])

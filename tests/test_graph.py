@@ -172,6 +172,11 @@ def test_is_regular_weighted():
     g = wp.build(4, [(i, (i + 1) % 4, 2.5) for i in range(4)])
     ok, value = wp.is_regular(g)
     assert ok and value == pytest.approx(5.0)
+    # the spread is measured against the largest degree, however small
+    tiny = wp.build(4, [(i, (i + 1) % 4, 1e-13) for i in range(4)])
+    ok, value = wp.is_regular(tiny)
+    assert ok and value == pytest.approx(2e-13)
+    assert wp.is_regular(wp.build(3, [(0, 1, 1e-13), (1, 2, 4e-13)])) == (False, None)
 
 
 def test_edges_and_arcs():

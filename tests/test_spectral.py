@@ -1,8 +1,9 @@
 import math
+from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import walkparadox as wp
@@ -60,11 +61,13 @@ def test_eigen_result_contract_figure1():
         oracle.dominant_eigenvalue_dense(g), abs=1e-10)
 
 
-@given(st.one_of(graphs(max_n=7, weighted=w, connected=True, directed=False)
-                 for w in (True, False)))
-@settings(max_examples=40, deadline=None)
+@given(st.one_of([graphs(max_n=7, weighted=w, connected=True, directed=False)
+                  for w in (True, False)]
+                 + [graphs(max_n=6, weighted=True, connected=True, directed=True)]))
+@settings(max_examples=60, deadline=None)
 def test_eigen_matches_dense_eigensolver(g):
-    # both step kernels: _SMALL_N = 0 sends every graph to the array one
+    assume(wp.is_strongly_connected(g))
+    # both paths: _SMALL_N = 0 sends every graph to power iteration
     for small_n in (spectral._SMALL_N, 0):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_SMALL_N", small_n)
@@ -74,24 +77,59 @@ def test_eigen_matches_dense_eigensolver(g):
             oracle.dominant_eigenvalue_dense(g), abs=1e-8)
 
 
-def test_list_kernel_serves_unweighted_tiny_graphs_only(monkeypatch):
-    list_kernel, calls = spectral._list_kernel, []
+def test_dense_solve_serves_every_graph_up_to_small_n(monkeypatch):
+    dense_perron, calls = spectral._dense_perron, []
 
     def counted(g):
-        if not g.unweighted:
-            raise AssertionError("the list kernel reads no weights")
         calls.append(g.n)
-        return list_kernel(g)
+        return dense_perron(g)
 
-    monkeypatch.setattr(spectral, "_list_kernel", counted)
-    for n in (3, spectral._SMALL_N):
-        weighted = wp.build(n, [(i, (i + 1) % n, 1.0 + i) for i in range(n)])
-        assert wp.dominant_eigenpair(weighted).residual <= 1e-10
-        assert wp.dominant_eigenpair(weighted, side="left").residual <= 1e-10
-    assert calls == []
-    for g in (wp.cycle(3), wp.cycle(spectral._SMALL_N), wp.cycle(spectral._SMALL_N + 1)):
-        wp.dominant_eigenpair(g)
-    assert calls == [3, spectral._SMALL_N]
+    monkeypatch.setattr(spectral, "_dense_perron", counted)
+    small = spectral._SMALL_N
+    for n in (3, small, small + 1):
+        for directed in (False, True):
+            weighted = wp.build(n, [(i, (i + 1) % n, 1.0 + i) for i in range(n)],
+                                directed=directed)
+            for g in (weighted, wp.cycle(n)):
+                for side in ("right", "left"):
+                    res = wp.dominant_eigenpair(g, side=side)
+                    assert res.residual <= 1e-10
+                    assert (res.iterations == 0) == (n <= small)
+    assert calls == [3] * 8 + [small] * 8
+
+
+def test_dense_series_serves_undirected_graphs_up_to_small_n(monkeypatch):
+    dense_function, calls = spectral._dense_function, []
+
+    def counted(g, beta, parity):
+        calls.append(g.n)
+        return dense_function(g, beta, parity)
+
+    monkeypatch.setattr(spectral, "_dense_function", counted)
+    small = spectral._SMALL_N
+    for n in (3, small, small + 1):
+        for g in (wp.cycle(n), wp.directed_cycle(n)):
+            for action in (wp.exp_action, wp.odd_action, wp.even_action):
+                action(g, 1.0)
+    assert calls == [3] * 3 + [small] * 3
+
+
+def _ulps(x: float, exact: float) -> float:
+    return abs(x - exact) / math.ulp(exact)
+
+
+def test_digraph_perron_roots_in_closed_form():
+    # hub_cycle(10) has characteristic polynomial with root phi, and
+    # three_node x^3 - x - 1, whose real root is the plastic number
+    getcontext().prec = 50
+    phi = float((1 + Decimal(5).sqrt()) / 2)
+    root = Decimal(69).sqrt()
+    plastic = float(((9 + root) / 18) ** (Decimal(1) / 3)
+                    + ((9 - root) / 18) ** (Decimal(1) / 3))
+    assert (phi, plastic) == (1.618033988749895, 1.324717957244746)
+    for g, exact in ((wp.hub_cycle(10), phi), (wp.three_node(), plastic)):
+        for side in ("right", "left"):
+            assert _ulps(wp.dominant_eigenpair(g, side=side).eigenvalue, exact) <= 4
 
 
 def test_eigen_left_right_directed():
@@ -124,14 +162,16 @@ def test_eigen_parameter_validation():
 
 
 def test_eigen_convergence_error_carries_best():
-    # figure1 runs the list kernel, the n = 60 graph the array kernel
-    for g in (wp.figure1(), wp.barabasi_albert(60, 2, seed=3)):
+    # figure1 is solved densely, whose residual no tol of 1e-20 admits;
+    # the n = 60 graph iterates and is stopped after two steps
+    for g, kw, iterations in ((wp.figure1(), {"tol": 1e-20}, 0),
+                              (wp.barabasi_albert(60, 2, seed=3), {"max_iter": 2}, 2)):
         with pytest.raises(ConvergenceError) as exc:
-            wp.dominant_eigenpair(g, max_iter=2)
+            wp.dominant_eigenpair(g, **kw)
         err = exc.value
         assert err.best is not None
-        assert err.best.iterations <= 2
-        assert err.best.residual == err.residual > 1e-10
+        assert err.best.iterations <= iterations
+        assert err.best.residual == err.residual > kw.get("tol", 1e-10)
         assert err.best.vector.values.sum() == pytest.approx(g.n, rel=1e-12)
 
 
@@ -289,11 +329,15 @@ def test_katz_stall_raises_without_spending_max_iter(make, monkeypatch):
 @given(graphs(max_n=7, weighted=True))
 @settings(max_examples=40, deadline=None)
 def test_matrix_functions_match_dense(g):
-    for name, action in (("exp", wp.exp_action), ("odd", wp.odd_action),
-                         ("even", wp.even_action)):
-        got = action(g, 0.8, tol=1e-14).values
-        ref = oracle.matrix_function_dense(g, 0.8, name)
-        assert np.allclose(got, ref, rtol=1e-10, atol=1e-12), name
+    # both paths: _SMALL_N = 0 sends every graph to the Taylor loop
+    for small_n in (spectral._SMALL_N, 0):
+        for name, action in (("exp", wp.exp_action), ("odd", wp.odd_action),
+                             ("even", wp.even_action)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(spectral, "_SMALL_N", small_n)
+                got = action(g, 0.8, tol=1e-14).values
+            ref = oracle.matrix_function_dense(g, 0.8, name)
+            assert np.allclose(got, ref, rtol=1e-10, atol=1e-12), (name, small_n)
 
 
 def test_exp_splits_into_odd_plus_even():
@@ -305,12 +349,22 @@ def test_exp_splits_into_odd_plus_even():
     assert np.abs(full - halves).max() <= 2 * tol * scale
 
 
+def _directed_twin(g):
+    # the same arcs both ways on a digraph: the same CSR arrays, so the
+    # same products, on the Taylor path that digraphs always take
+    return wp.build(g.n, list(g.arcs()), directed=True)
+
+
 def test_taylor_beta_validation_and_overflow():
     g = wp.complete(4)
-    with pytest.raises(ParameterError, match="beta"):
-        wp.exp_action(g, -1.0)
+    twin = _directed_twin(g)
+    for h in (g, twin):
+        with pytest.raises(ParameterError, match="beta"):
+            wp.exp_action(h, -1.0)
     for action in (wp.exp_action, wp.odd_action, wp.even_action):
         with pytest.raises(ParameterError, match="overflowed at order 387;"):
+            action(twin, 300.0)
+        with pytest.raises(ParameterError, match="beta \\* lambda_1 = 900; use a smaller beta"):
             action(g, 300.0)
 
 
@@ -339,10 +393,11 @@ def test_taylor_refuses_a_settle_point_past_the_cap(monkeypatch):
 def test_taylor_runs_when_the_settle_point_meets_the_cap(monkeypatch):
     monkeypatch.setattr(spectral, "_TAYLOR_CAP", 10)
     calls = _counted_matvec(monkeypatch)
-    assert wp.exp_action(wp.star_undirected(11), 1.0, tol=0.5).values.min() > 1.0
+    star = _directed_twin(wp.star_undirected(11))
+    assert wp.exp_action(star, 1.0, tol=0.5).values.min() > 1.0
     assert len(calls) == 10
     with pytest.raises(ConvergenceError, match="within 10 terms: beta \\* max row sum = 11"):
-        wp.exp_action(wp.star_undirected(12), 1.0, tol=0.5)
+        wp.exp_action(_directed_twin(wp.star_undirected(12)), 1.0, tol=0.5)
     assert len(calls) == 10
 
 
