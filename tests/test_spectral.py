@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -114,22 +114,20 @@ def test_dense_series_serves_undirected_graphs_up_to_small_n(monkeypatch):
     assert calls == [3] * 3 + [small] * 3
 
 
-def _ulps(x: float, exact: float) -> float:
-    return abs(x - exact) / math.ulp(exact)
-
-
 def test_digraph_perron_roots_in_closed_form():
-    # hub_cycle(10) has characteristic polynomial with root phi, and
-    # three_node x^3 - x - 1, whose real root is the plastic number
-    getcontext().prec = 50
-    phi = float((1 + Decimal(5).sqrt()) / 2)
-    root = Decimal(69).sqrt()
-    plastic = float(((9 + root) / 18) ** (Decimal(1) / 3)
-                    + ((9 - root) / 18) ** (Decimal(1) / 3))
+    # hub_cycle(10)'s Perron root is phi; three_node's is the real root
+    # of x^3 - x - 1, the plastic number (Cardano's formula)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        phi = float((1 + Decimal(5).sqrt()) / 2)
+        root = Decimal(69).sqrt()
+        plastic = float(((9 + root) / 18) ** (Decimal(1) / 3)
+                        + ((9 - root) / 18) ** (Decimal(1) / 3))
     assert (phi, plastic) == (1.618033988749895, 1.324717957244746)
     for g, exact in ((wp.hub_cycle(10), phi), (wp.three_node(), plastic)):
         for side in ("right", "left"):
-            assert _ulps(wp.dominant_eigenpair(g, side=side).eigenvalue, exact) <= 4
+            lam = wp.dominant_eigenpair(g, side=side).eigenvalue
+            assert abs(lam - exact) <= 4 * math.ulp(exact), (g, side)
 
 
 def test_eigen_left_right_directed():
