@@ -24,9 +24,10 @@ from collections import Counter
 from .centrality import CentralitySpec, compute
 from .conditions import (
     check_lagarias,
+    check_mixed_walk_growth,
     check_spectral_directed,
+    check_walk_growth,
     first_order_in_degree_term,
-    growth_checks,
     lagarias_scan,
 )
 from .edgelist import format_edge_list, parse_edge_list
@@ -237,9 +238,9 @@ def _cmd_conditions(args) -> tuple:
         depth, first_order = _DEFAULT_BATTERY_DEPTH, g.directed
     if depth:
         if g.directed or args.mixed:
-            reports.extend(growth_checks(g, range(1, depth + 1), mixed=True))
+            reports.extend(check_mixed_walk_growth(g, k) for k in range(1, depth + 1))
         if not g.directed:
-            reports.extend(growth_checks(g, range(1, depth + 1)))
+            reports.extend(check_walk_growth(g, k) for k in range(1, depth + 1))
     if args.spectral:
         reports.append(check_spectral_directed(g, side="left"))
         reports.append(check_spectral_directed(g, side="right"))

@@ -89,36 +89,19 @@ def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> Condition
     )
 
 
-def growth_checks(g: Graph, orders, mixed: bool = False) -> list[ConditionReport]:
-    """Walk growth checks (mixed ones if mixed) at the given increasing
-    orders, all built from one walk pass."""
+def _growth_check(g: Graph, k: int, mixed: bool) -> ConditionReport:
     if not mixed and g.directed:
         raise GraphError("walk growth check is for undirected graphs; "
                          "see check_mixed_walk_growth")
-    if orders[0] < 1:
+    if k < 1:
         raise ParameterError("order k must be >= 1")
     exact = g.unweighted
-    w, m = _walk_sums(g, orders[-1] + (not mixed), mixed)
-    out = []
-    for k in orders:
-        rhs = Fraction(w[k] * w[1], g.n) if exact else w[k] * w[1] / g.n
-        if mixed:
-            guaranteed = k == 1 or (exact and not g.directed and k % 2 == 1)
-            out.append(_report(f"mixed_walk_growth(k={k})", m[k], rhs, exact, guaranteed, g))
-        else:
-            out.append(_report(f"walk_growth(k={k})", w[k + 1], rhs, exact,
-                               exact and k % 2 == 1, g))
-    return out
-
-
-def _product_checks(g: Graph, pairs) -> list[ConditionReport]:
-    """Product inequalities for (r, s) pairs of rising r + s, from one walk pass."""
-    if g.directed:
-        raise GraphError("the walk product inequality applies to undirected graphs")
-    w = walk_counts_through(g, sum(pairs[-1]))
-    exact = g.unweighted
-    return [_report(f"lagarias(r={r},s={s})", g.n * w[r + s], w[r] * w[s], exact,
-                    exact and (r + s) % 2 == 0, g) for r, s in pairs]
+    w, m = _walk_sums(g, k + (not mixed), mixed)
+    rhs = Fraction(w[k] * w[1], g.n) if exact else w[k] * w[1] / g.n
+    if mixed:
+        guaranteed = k == 1 or (exact and not g.directed and k % 2 == 1)
+        return _report(f"mixed_walk_growth(k={k})", m[k], rhs, exact, guaranteed, g)
+    return _report(f"walk_growth(k={k})", w[k + 1], rhs, exact, exact and k % 2 == 1, g)
 
 
 def check_walk_growth(g: Graph, k: int) -> ConditionReport:
@@ -127,7 +110,7 @@ def check_walk_growth(g: Graph, k: int) -> ConditionReport:
     This is the per-order sufficient condition for walk-series paradoxes
     on undirected graphs.  Odd k instances are theorem-guaranteed.
     """
-    return growth_checks(g, (k,))[0]
+    return _growth_check(g, k, mixed=False)
 
 
 def _check_orders(r: int, s: int) -> None:
@@ -142,7 +125,12 @@ def check_lagarias(g: Graph, r: int, s: int) -> ConditionReport:
     may legitimately fail.
     """
     _check_orders(r, s)
-    return _product_checks(g, ((r, s),))[0]
+    if g.directed:
+        raise GraphError("the walk product inequality applies to undirected graphs")
+    w = walk_counts_through(g, r + s)
+    exact = g.unweighted
+    return _report(f"lagarias(r={r},s={s})", g.n * w[r + s], w[r] * w[s], exact,
+                   exact and (r + s) % 2 == 0, g)
 
 
 def check_mixed_walk_growth(g: Graph, k: int) -> ConditionReport:
@@ -153,7 +141,7 @@ def check_mixed_walk_growth(g: Graph, k: int) -> ConditionReport:
     guaranteed; on undirected graphs the check coincides exactly with
     check_walk_growth.
     """
-    return growth_checks(g, (k,), mixed=True)[0]
+    return _growth_check(g, k, mixed=True)
 
 
 def check_spectral_directed(g: Graph, side: str = "left") -> ConditionReport:
@@ -206,5 +194,5 @@ def lagarias_scan(g: Graph, max_order: int) -> list[ConditionReport]:
     """
     if max_order < 2:
         raise ParameterError("max_order must be >= 2")
-    return _product_checks(g, [(r, total - r) for total in range(2, max_order + 1)
-                               for r in range(1, total // 2 + 1)])
+    return [check_lagarias(g, r, total - r) for total in range(2, max_order + 1)
+            for r in range(1, total // 2 + 1)]

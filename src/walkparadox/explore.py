@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .centrality import CentralitySpec, compute
-from .conditions import _check_orders, check_lagarias, check_spectral_directed, growth_checks
+from .conditions import _check_orders, check_lagarias, check_spectral_directed, check_walk_growth
 from .errors import ConvergenceError, GraphError, ParameterError, TheoremViolationError
 from .generators import FamilySpec, _connected_mask_blocks, _mask_graph, make, make_connected
 from .graph import Graph, build, is_connected, is_regular, is_strongly_connected
@@ -261,7 +261,7 @@ def build_power_series_counterexample(g: Graph, epsilon: float | None = None):
 
     Returns (coefficients, report); the report's holds flag is False.
     """
-    rep1, rep2 = growth_checks(g, (1, 2))
+    rep1, rep2 = check_walk_growth(g, 1), check_walk_growth(g, 2)
     if rep2.holds:
         raise ParameterError(
             "graph does not violate the order-2 walk growth condition "

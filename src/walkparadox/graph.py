@@ -123,6 +123,11 @@ class Graph:
         return tuple(tuple(idx[ptr[i]:ptr[i + 1]]) for i in range(self.n))
 
     @cached_property
+    def _walk_passes(self) -> dict:
+        """A^k 1 passes that spectral._walk_sums alone keeps, by mixed flag."""
+        return {}
+
+    @cached_property
     def reverse(self) -> "Graph":
         """Arc-reversed graph; an undirected graph is its own reverse."""
         if not self.directed:

@@ -31,7 +31,8 @@ Conventions fixed by this module:
 * Walk totals on unweighted graphs use Python integers, so they are
   exact at any order; weighted graphs fall back to float sums.  Totals
   w_k = 1^T A^k 1 and mixed sums 1^T A^T A^k 1 = (A 1).(A^k 1) share one
-  A^k 1 loop, so a caller that needs every order up to K pays K products.
+  A^k 1 loop, which is kept on the graph and extended on demand: every
+  order up to K costs K products in all, however the orders are asked.
 """
 
 from __future__ import annotations
@@ -504,9 +505,11 @@ def _finite_total(total: float) -> float:
 
 
 def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
-    """Totals 1^T A^k 1 for k = 0..kmax from one A^k 1 loop, and with
-    mixed also the sums 1^T A^T A^k 1 = (A 1).(A^k 1) on the same vectors
-    (None otherwise).
+    """Totals 1^T A^k 1 for k = 0..kmax, and with mixed also the sums
+    1^T A^T A^k 1 = (A 1).(A^k 1) on the same vectors (None otherwise),
+    as copies of the pass kept on g per mixed flag: a call steps on from
+    the last walk vector, so orders asked one at a time cost one pass.
+    An order is kept once its total and mixed sum are both formed.
 
     Exact Python integers on unweighted graphs (arbitrary precision, so
     no overflow is possible); floats on weighted graphs, where overflow
@@ -525,21 +528,24 @@ def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
         step = lambda x: _matvec(g, x)
         total = lambda v: _finite_total(float(v.sum()))
         dot = lambda d, v: _finite_total(float(d @ v))
-    totals, sums = [g.n], None
+    passes = g._walk_passes
     with quiet:
-        if mixed:
-            d = step(x)  # A 1, the out-degrees, and the first walk vector
-            sums = [dot(d, x)]
-        for k in range(kmax):
-            x = d if mixed and k == 0 else step(x)
-            totals.append(total(x))
+        if mixed not in passes:
+            d = step(x) if mixed else None  # A 1, the out-degrees, and the first walk vector
+            passes[mixed] = ([g.n], [dot(d, x)] if mixed else None, x, d)
+        totals, sums, x, d = passes[mixed]
+        while len(totals) <= kmax:
+            x = d if mixed and len(totals) == 1 else step(x)
+            t = total(x)
             if mixed:
                 sums.append(dot(d, x))
-    return totals, sums
+            totals.append(t)
+            passes[mixed] = (totals, sums, x, d)
+    return totals[:kmax + 1], None if sums is None else sums[:kmax + 1]
 
 
 def walk_counts_through(g: Graph, kmax: int):
-    """Totals 1^T A^k 1 for k = 0..kmax in one pass."""
+    """Totals 1^T A^k 1 for k = 0..kmax, from the pass kept on g."""
     return _walk_sums(g, kmax)[0]
 
 

@@ -192,41 +192,98 @@ def test_lagarias_scan_shape():
         wp.lagarias_scan(wp.figure1(), 1)
 
 
+def _weighted_figure1():
+    return wp.build(8, [(i, j, 1.5) for i, j, _ in wp.figure1().edges()])
+
+
 def test_batteries_make_one_walk_pass(monkeypatch, capsys):
+    # on a weighted graph every walk step is one _matvec, so the products
+    # counted here are the A x products the batteries pay
+    import io
+    import sys
+
+    import walkparadox.cli as cli
+    from walkparadox import spectral
+
+    products = []
+    matvec = spectral._matvec
+
+    def counted(g, x):
+        products.append(g.n)
+        return matvec(g, x)
+
+    monkeypatch.setattr(spectral, "_matvec", counted)
+
+    def cost(call, *args):
+        products.clear()
+        call(*args)
+        return len(products)
+
+    g = _weighted_figure1()
+    # orders asked one at a time step on from the kept pass: 5 products,
+    # where a pass per call would take 2 + 3 + 4 + 5 = 14
+    assert cost(lambda: [wp.check_walk_growth(g, k) for k in range(1, 5)]) == 5
+    assert cost(wp.lagarias_scan, _weighted_figure1(), 8) == 8
+    edges = "".join(f"{i} {j} 1.5\n" for i, j, _ in g.edges())
+    # --mixed adds the mixed-sum pass and nothing else
+    for extra, expected in (([], 9), (["--mixed"], 17)):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(edges))
+        argv = ["conditions", "--graph", "-", "--max-k", "8", *extra]
+        assert cost(lambda: cli.run(argv) == 0 or pytest.fail(argv)) == expected
+    capsys.readouterr()
+
+
+def _rebuilt(g):
+    # the same arrays in a new Graph object, which keeps no walk pass yet
+    return wp.Graph(g.n, g.directed, g.indptr, g.indices, g.weights)
+
+
+def _reprs(reports):
+    # repr round-trips every float, so equal reprs mean bitwise equal numbers
+    return [repr(r) for r in reports]
+
+
+def test_batteries_match_single_order_checks(exhaustive6):
+    # a graph whose kept pass already runs deeper answers every check and
+    # total exactly as a fresh graph does
+    pairs = [(r, t - r) for t in range(2, 7) for r in range(1, t // 2 + 1)]
+    for g in exhaustive6[::27]:
+        weighted = wp.build(g.n, [(i, j, 1.0 + 0.25 * ((i + 2 * j) % 5)) for i, j, _ in g.edges()])
+        for h in (g, weighted):
+            deep = _rebuilt(h)
+            wp.walk_counts_through(deep, 9)
+            assert _reprs(wp.lagarias_scan(deep, 6)) == _reprs(
+                [wp.check_lagarias(_rebuilt(h), r, s) for r, s in pairs])
+            assert _reprs(wp.check_walk_growth(deep, k) for k in range(1, 6)) == _reprs(
+                wp.check_walk_growth(_rebuilt(h), k) for k in range(1, 6))
+            assert _reprs(wp.walk_counts_through(deep, 5)) == _reprs(
+                wp.walk_counts_through(_rebuilt(h), 5))
+            arcs = [(i, j, w) if (i + j) % 2 else (j, i, w) for i, j, w in h.edges()]
+            d = wp.build(h.n, arcs, directed=True)
+            deep = _rebuilt(d)
+            wp.mixed_walk_count(deep, 9)
+            assert _reprs(wp.check_mixed_walk_growth(deep, k) for k in range(1, 6)) == _reprs(
+                wp.check_mixed_walk_growth(_rebuilt(d), k) for k in range(1, 6))
+            assert _reprs(wp.mixed_walk_count(deep, k) for k in range(6)) == _reprs(
+                wp.mixed_walk_count(_rebuilt(d), k) for k in range(6))
+
+
+def test_conditions_battery_stops_at_the_first_refused_order(monkeypatch, capsys):
+    # figure1's exact totals outgrow a float report at walk_growth(k=791);
+    # the battery forms no order past the one that check needs
     import walkparadox.cli as cli
     from walkparadox import conditions, spectral
 
-    passes = []
+    asked = []
     walk_sums = spectral._walk_sums
 
     def counted(g, kmax, mixed=False):
-        passes.append((kmax, mixed))
+        asked.append(kmax)
         return walk_sums(g, kmax, mixed)
 
     monkeypatch.setattr(spectral, "_walk_sums", counted)
     monkeypatch.setattr(conditions, "_walk_sums", counted)
-
-    assert len(wp.lagarias_scan(wp.figure1(), 8)) == 16
-    assert passes == [(8, False)]
-
-    passes.clear()
-    assert cli.run(["conditions", "--family", "figure1", "--max-k", "8"]) == 0
-    assert passes == [(9, False)]
-
-    # --mixed adds the mixed-sum pass and nothing else
-    passes.clear()
-    assert cli.run(["conditions", "--family", "figure1", "--max-k", "8", "--mixed"]) == 0
-    assert passes == [(8, True), (9, False)]
-    capsys.readouterr()
-
-
-def test_batteries_match_single_order_checks():
-    from walkparadox.conditions import growth_checks
-
-    for g in (wp.star_undirected(6), wp.figure1()):
-        pairs = [(r, t - r) for t in range(2, 7) for r in range(1, t // 2 + 1)]
-        assert wp.lagarias_scan(g, 6) == [wp.check_lagarias(g, r, s) for r, s in pairs]
-        assert growth_checks(g, range(1, 6)) == [wp.check_walk_growth(g, k)
-                                                 for k in range(1, 6)]
-        assert growth_checks(g, range(1, 6), mixed=True) == [
-            wp.check_mixed_walk_growth(g, k) for k in range(1, 6)]
+    assert cli.run(["conditions", "--family", "figure1", "--max-k", "5000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: walk_growth(k=791): walk totals exceed the float range of a report\n")
+    assert max(asked) == 792

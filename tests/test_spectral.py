@@ -498,6 +498,48 @@ def test_walk_count_overflow_weighted():
         wp.walk_counts_through(g, 3)
 
 
+def test_walk_lists_are_copies_of_the_kept_pass():
+    g = wp.figure1()
+    counts = wp.walk_counts_through(g, 4)
+    counts[2] = -1
+    counts.append(0)
+    sums = spectral._walk_sums(g, 3, mixed=True)[1]
+    sums[0] = -1
+    assert wp.walk_counts_through(g, 4) == [8, 16, 42, 96, 246]
+    assert wp.walk_counts_through(g, 6)[:5] == [8, 16, 42, 96, 246]
+    assert spectral._walk_sums(g, 3, mixed=True)[1] == [
+        oracle.mixed_total_int(g, k) for k in range(4)]
+
+
+def test_walk_pass_refusal_leaves_the_kept_pass_usable():
+    # K_50 with weights 1.01: w_k ~ 50 * 49.49^k leaves the float range
+    # at a high order; find it on one graph, then probe another
+    edges = [(i, j, 1.01) for i in range(50) for j in range(i + 1, 50)]
+    probe, g = wp.build(50, edges), wp.build(50, edges)
+    top = next(k for k in range(1, 400) if _refusal(lambda: wp.walk_counts_through(probe, k)))
+    assert 150 < top < 200
+    message = _refusal(lambda: wp.walk_counts_through(g, top + 20))
+    assert "walk count overflow" in message
+    below = wp.walk_counts_through(wp.build(50, edges), top - 1)
+    assert repr(wp.walk_counts_through(g, top - 1)) == repr(below)
+    assert _refusal(lambda: wp.walk_counts_through(g, top)) == message
+    # the same holds for a report whose w_k * w_1 overflows first
+    k = next(k for k in range(1, top) if _refusal(lambda: wp.check_walk_growth(probe, k)))
+    report = _refusal(lambda: wp.check_walk_growth(g, k))
+    assert report == f"walk_growth(k={k}): walk totals exceed the float range of a report"
+    assert wp.check_walk_growth(g, 3) == wp.check_walk_growth(wp.build(50, edges), 3)
+    assert _refusal(lambda: wp.check_walk_growth(g, k)) == report
+
+
+def _refusal(call):
+    """The ParameterError text of call, or None if it returns."""
+    try:
+        call()
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
 def test_large_int_walk_counts_stay_exact():
     # 60 steps on K60: counts ~ 59^60, far beyond float precision
     g = wp.complete(60)
