@@ -111,6 +111,9 @@ def _load_graph(args) -> Graph:
     if args.graph is not None and args.family is not None:
         raise ParameterError("give --graph or --family, not both")
     if args.graph is not None:
+        for flag in ("n", "k", "p", "m"):
+            if getattr(args, flag) is not None:
+                raise ParameterError(f"--graph takes no --{flag}")
         try:
             if args.graph == "-":
                 text = sys.stdin.read()
@@ -122,6 +125,8 @@ def _load_graph(args) -> Graph:
                              f"at byte {exc.start})") from None
         return parse_edge_list(text, one_based=args.one_based)
     if args.family is not None:
+        if args.one_based:
+            raise ParameterError("--one-based applies to --graph, not --family")
         return make(_family_spec(args))
     raise ParameterError("a graph is required: pass --graph FILE or --family NAME")
 

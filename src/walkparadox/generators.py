@@ -223,7 +223,11 @@ _FAMILIES = {
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name with its parameters; the unit of reproducibility."""
+    """A family name with its parameters; the unit of reproducibility.
+
+    Each of n, k, p and m is required by the families that read it and
+    refused by the others.
+    """
 
     family: str
     n: int | None = None
@@ -236,10 +240,13 @@ class FamilySpec:
         if self.family not in _FAMILIES:
             known = ", ".join(sorted(_FAMILIES))
             raise ParameterError(f"unknown family {self.family!r}; known: {known}")
+        # seed is never refused: its default 0 cannot be told from an explicit 0
         needed = _FAMILIES[self.family][1]
-        for name in needed:
-            if name != "seed" and getattr(self, name) is None:
+        for name in ("n", "k", "p", "m"):
+            if name in needed and getattr(self, name) is None:
                 raise ParameterError(f"family {self.family!r} requires parameter {name!r}")
+            if name not in needed and getattr(self, name) is not None:
+                raise ParameterError(f"family {self.family!r} takes no parameter {name!r}")
 
 
 def make(spec: FamilySpec) -> Graph:

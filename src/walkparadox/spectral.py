@@ -156,17 +156,21 @@ def _dense(g: Graph) -> np.ndarray:
     return a
 
 
-def _dense_perron(g: Graph) -> tuple[float, np.ndarray]:
+def _dense_perron(g: Graph) -> tuple[float, np.ndarray, float]:
     """Perron root of g and its eigenvector from one LAPACK call: eigh's
     last pair when A is symmetric, else eig's eigenvalue of largest real
-    part, which on an irreducible nonnegative matrix is the Perron root."""
+    part, which on an irreducible nonnegative matrix is the Perron root.
+    Also returns the root's lead over the next largest real part,
+    relative to the largest |eigenvalue|."""
     if g.directed:
         vals, vecs = np.linalg.eig(_dense(g))
         k = int(np.argmax(vals.real))
+        second = float(np.partition(vals.real, -2)[-2])
     else:
         vals, vecs = np.linalg.eigh(_dense(g))
-        k = -1
-    return float(vals[k].real), np.abs(vecs[:, k])
+        k, second = -1, float(vals[-2])
+    lam = float(vals[k].real)
+    return lam, np.abs(vecs[:, k]), (lam - second) / float(np.abs(vals).max())
 
 
 def dominant_eigenpair(
@@ -195,10 +199,16 @@ def dominant_eigenpair(
     _check_max_iter(max_iter)
     label = f"eigenvector[{side}]"
     if n <= _SMALL_N:
-        lam, x = _dense_perron(work)
+        lam, x, gap = _dense_perron(work)
         x = x * (n / float(x.sum()))
         res = float(np.linalg.norm(_matvec(work, x) - lam * x))
         best = EigenResult(lam, NodeVector(x, label), side, res, 0)
+        # Perron-Frobenius makes the gap positive; one at rounding level
+        # leaves the vector free to mix with the next one's
+        if gap <= n * _EPS:
+            raise ConvergenceError(
+                f"dense eigensolver cannot separate the Perron root from the next "
+                f"eigenvalue (relative gap {gap:.3g})", residual=res, best=best)
         if res <= tol:
             return best
         raise ConvergenceError(

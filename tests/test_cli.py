@@ -172,6 +172,28 @@ def test_search_flag_conflicts(capsys):
         assert capsys.readouterr().err.startswith("error:"), argv
 
 
+def test_graph_source_flags_the_source_never_reads(capsys):
+    for argv in (
+        ["paradox", "--family", "figure1", "--n", "50", "--p", "0.3"],
+        ["paradox", "--family", "figure1", "--one-based"],
+        ["paradox", "--graph", "tests/fixtures/figure1.edges", "--n", "9"],
+        ["conditions", "--graph", "tests/fixtures/figure1.edges", "--m", "2"],
+        ["search", "--family", "cycle", "--n", "5", "--p", "0.3",
+         "--r", "1", "--s", "2", "--trials", "2"],
+        ["generate", "--family", "erdos_renyi", "--n", "5", "--p", "0.3", "--k", "2"],
+    ):
+        assert cli.run(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+
+
+def test_centrality_refuses_an_unseparated_perron_root(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0 1 1.0\n1 2 1e-20\n2 3 1.0\n"))
+    assert cli.run(["centrality", "--graph", "-", "--measure", "eigenvector"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dense eigensolver cannot separate")
+
+
 def test_enumerate(capsys):
     code, doc = run_json(capsys, ["enumerate", "--max-n", "4"])
     assert code == 0

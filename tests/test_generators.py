@@ -214,8 +214,16 @@ def test_family_spec_validation():
         FamilySpec("path")
     with pytest.raises(ParameterError, match="requires parameter 'p'"):
         FamilySpec("erdos_renyi", n=10)
+    # each parameter the family never reads is refused, not dropped
+    for family, params, name in (("figure1", {"n": 50}, "n"), ("cycle", {"n": 5, "p": 0.3}, "p"),
+                                 ("erdos_renyi", {"n": 5, "p": 0.3, "k": 2}, "k"),
+                                 ("k_regular_random", {"n": 6, "k": 2, "m": 1}, "m")):
+        with pytest.raises(ParameterError, match=f"{family!r} takes no parameter {name!r}"):
+            FamilySpec(family, **params)
     spec = FamilySpec("cycle", n=7)
     assert make(spec) == wp.cycle(7)
+    # seed is accepted everywhere: its default 0 cannot be told from an explicit 0
+    assert make(FamilySpec("figure1", seed=5)) == wp.figure1()
 
 
 def test_make_connected_deterministic_family():

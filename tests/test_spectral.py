@@ -173,6 +173,26 @@ def test_eigen_convergence_error_carries_best():
         assert err.best.vector.values.sum() == pytest.approx(g.n, rel=1e-12)
 
 
+def _bridged_path(w):
+    # two unit edges joined by a bridge of weight w: the Perron vector is
+    # symmetric, and the gap to the next eigenvalue is about w
+    return wp.build(4, [(0, 1, 1.0), (1, 2, w), (2, 3, 1.0)])
+
+
+def test_dense_eigen_refuses_a_gap_at_rounding_level():
+    # at these bridges eigh returned [2, 2, 7.2e-21, 2.4e-21] and
+    # [2, 2, 0, 0] with residuals below 1e-15
+    for w in (1e-20, 1e-200):
+        with pytest.raises(ConvergenceError, match="cannot separate") as exc:
+            wp.dominant_eigenpair(_bridged_path(w))
+        assert exc.value.best is not None
+        assert exc.value.best.iterations == 0
+        assert exc.value.best.residual == exc.value.residual
+    res = wp.dominant_eigenpair(_bridged_path(1e-8))
+    assert res.vector.values == pytest.approx([1.0] * 4, abs=1e-7)
+    assert res.vector.values.min() > 0
+
+
 def test_spectral_radius_estimate():
     assert wp.spectral_radius_estimate(wp.cycle(5)) == pytest.approx(2.0, abs=1e-9)
     # reducible graphs fall back to the row/column sum bound
