@@ -13,12 +13,18 @@ deliberate change, rewrite them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff before committing it.
+and review the diff before committing it.  With ``--check`` the script
+writes nothing: for each file whose bytes would change it prints the
+largest relative change of any float token and every other token that
+changed (keys, strings, integers, booleans and ``"p/q"`` fields), and it
+exits 1 if any file would change.
 """
 
 from __future__ import annotations
 
+import difflib
 import io
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -176,19 +182,95 @@ def test_demo_output_matches_golden(stem):
     assert text.encode("utf-8") == (GOLDEN / f"demo_{stem}.out").read_bytes()
 
 
+def _cli_bytes(name):
+    argv, fixture, expected_code = CLI_CASES[name]
+    code, text = _run_cli(argv, fixture)
+    if code != expected_code:
+        raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
+    return text.encode("utf-8")
+
+
+def _cases() -> dict:
+    """Golden file name -> a callable giving the bytes its case produces now."""
+    out = {f"{name}.out": lambda name=name: _cli_bytes(name) for name in sorted(CLI_CASES)}
+    for name, make_report in sorted(PAYLOAD_CASES.items()):
+        out[f"{name}.json"] = lambda make=make_report: canonical_json(
+            payload(make())).encode("utf-8")
+    for stem in DEMO_CASES:
+        out[f"demo_{stem}.out"] = lambda stem=stem: _run_demo(stem).encode("utf-8")
+    return out
+
+
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\w+|[^\s\w]')
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def _is_float(token: str) -> bool:
+    return bool(_NUMBER.fullmatch(token)) and any(c in token for c in ".eE")
+
+
+def _compare(old: str, new: str) -> tuple[float, list[str]]:
+    """The largest relative change of a float token between two texts,
+    and every other token that changed, as "old -> new", "- old" or "+ new"."""
+    a, b = _TOKEN.findall(old), _TOKEN.findall(new)
+    drift, changed = 0.0, []
+    for op, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if op == "equal":
+            continue
+        if op == "replace" and i2 - i1 == j2 - j1:
+            for x, y in zip(a[i1:i2], b[j1:j2]):
+                if _NUMBER.fullmatch(x) and _NUMBER.fullmatch(y) and (
+                        _is_float(x) or _is_float(y)):
+                    fx, fy = float(x), float(y)
+                    if fx != fy:
+                        drift = max(drift, abs(fx - fy) / max(abs(fx), abs(fy)))
+                else:
+                    changed.append(f"{x} -> {y}")
+            continue
+        changed += [f"- {x}" for x in a[i1:i2]] + [f"+ {y}" for y in b[j1:j2]]
+    return drift, changed
+
+
+def test_golden_directory_holds_exactly_the_named_cases():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(_cases())
+
+
+def test_compare_reports_float_drift_and_changed_tokens():
+    old = '{"exact": "5/8", "gap": 0.625, "n": 8, "x": [1.0, 2e-05, 0.0]}\n'
+    new = '{"exact": "5/9", "gap": 0.625, "n": 9, "x": [1.0000000000000002, 2.00002e-05, -0.0]}\n'
+    drift, changed = _compare(old, new)
+    assert drift == pytest.approx(1e-5 / 1.00001, rel=1e-9)
+    assert changed == ['"5/8" -> "5/9"', "8 -> 9"]
+    assert _compare(old, old) == (0.0, [])
+    # a float written as an integer still compares as a number
+    assert _compare("x 2.5 y", "x 2 y") == (0.2, [])
+    assert _compare("true, 1", "false, 1, null") == (0.0, ["true -> false", "+ ,", "+ null"])
+
+
+def _check() -> int:
+    """Print how each golden file would change; 1 if any would."""
+    moved = 0
+    for name, produce in _cases().items():
+        data, path = produce(), GOLDEN / name
+        old = path.read_bytes() if path.exists() else b""
+        if old == data:
+            continue
+        moved += 1
+        drift, changed = _compare(old.decode("utf-8"), data.decode("utf-8"))
+        print(f"{name}: largest relative float change {drift:.3g}")
+        for line in changed:
+            print(f"  {line}")
+    print(f"{moved} golden file(s) would change")
+    return 1 if moved else 0
+
+
 def _rewrite() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, fixture, expected_code) in sorted(CLI_CASES.items()):
-        code, text = _run_cli(argv, fixture)
-        if code != expected_code:
-            raise SystemExit(f"{name}: exit {code}, expected {expected_code}")
-        (GOLDEN / f"{name}.out").write_bytes(text.encode("utf-8"))
-    for name, make_report in sorted(PAYLOAD_CASES.items()):
-        text = canonical_json(payload(make_report()))
-        (GOLDEN / f"{name}.json").write_bytes(text.encode("utf-8"))
-    for stem in DEMO_CASES:
-        (GOLDEN / f"demo_{stem}.out").write_bytes(_run_demo(stem).encode("utf-8"))
+    for name, produce in _cases().items():
+        (GOLDEN / name).write_bytes(produce())
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(_check())
     _rewrite()
