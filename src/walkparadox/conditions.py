@@ -4,7 +4,9 @@ Each check reports the two sides of an inequality, the slack, and a
 verdict.  On unweighted graphs all quantities are exact rationals built
 from integer walk totals, so equality cases (regular graphs, stars)
 come out with slack exactly zero.  Weighted graphs use floats with a
-1e-9 relative verdict tolerance.
+1e-9 relative verdict tolerance.  Each check asks spectral for the walk
+orders it needs; spectral keeps the pass on the graph, so a battery of
+checks costs one pass to its highest order.
 
 Some instances are theorem-guaranteed: the even-order product
 inequality, every odd-order growth check on undirected graphs, and the

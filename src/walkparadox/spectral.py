@@ -184,7 +184,10 @@ def dominant_eigenpair(
     (default 100 n + 1000).  On either path tol bounds the residual.
     side "left" is served by solving on the reversed graph, so left on
     g and right on its transpose coincide exactly.  Raises
-    ConvergenceError carrying the best pair if the residual exceeds tol.
+    ConvergenceError carrying the best pair if the residual exceeds tol,
+    or if a dense solve finds the Perron root ahead of the next real part
+    by at most n eps max|lambda|, where no residual can vouch for the
+    vector.
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right': {side!r}")
@@ -203,8 +206,8 @@ def dominant_eigenpair(
         x = x * (n / float(x.sum()))
         res = float(np.linalg.norm(_matvec(work, x) - lam * x))
         best = EigenResult(lam, NodeVector(x, label), side, res, 0)
-        # Perron-Frobenius makes the gap positive; one at rounding level
-        # leaves the vector free to mix with the next one's
+        # Perron-Frobenius makes the gap positive; at rounding level the
+        # vector may mix with the next one's at a tiny residual
         if gap <= n * _EPS:
             raise ConvergenceError(
                 f"dense eigensolver cannot separate the Perron root from the next "
@@ -242,13 +245,21 @@ def dominant_eigenpair(
 def spectral_radius_estimate(g: Graph) -> float:
     """Spectral radius for parameter validation.
 
-    Irreducible graphs get the computed dominant eigenvalue.  Reducible
-    ones fall back to min(max row sum, max col sum), an upper bound that
-    may reject some admissible Katz parameters but never admits a bad one.
+    Irreducible graphs get the computed dominant eigenvalue, on n <= 12
+    (_SMALL_N) the dense root even where dominant_eigenpair refuses its
+    vector: the root stays accurate where a gap at rounding level leaves
+    the vector unknown.  Reducible ones fall back to min(max row sum,
+    max col sum), an upper bound that may reject some admissible Katz
+    parameters but never admits a bad one.
     """
-    if is_strongly_connected(g):
+    if not is_strongly_connected(g):
+        return min(float(_row_sums(_oriented(g, side)).max()) for side in ("right", "left"))
+    try:
         return dominant_eigenpair(g).eigenvalue
-    return min(float(_row_sums(_oriented(g, side)).max()) for side in ("right", "left"))
+    except ConvergenceError as exc:
+        if g.n > _SMALL_N:
+            raise
+        return exc.best.eigenvalue
 
 
 def _katz_floor(x: np.ndarray, alpha_ax: np.ndarray) -> float:

@@ -191,6 +191,10 @@ def test_dense_eigen_refuses_a_gap_at_rounding_level():
     res = wp.dominant_eigenpair(_bridged_path(1e-8))
     assert res.vector.values == pytest.approx([1.0] * 4, abs=1e-7)
     assert res.vector.values.min() > 0
+    # the root itself is still known, so Katz parameters are still checked
+    g = _bridged_path(1e-20)
+    assert wp.spectral_radius_estimate(g) == 1.0
+    assert wp.katz_action(g, 0.5).values == pytest.approx([2.0] * 4, rel=1e-12)
 
 
 def test_spectral_radius_estimate():
