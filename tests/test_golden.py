@@ -201,8 +201,9 @@ def _cases() -> dict:
     return out
 
 
-_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\w+|[^\s\w]')
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# a JSON string, a number, a word or one other character
+_TOKEN = re.compile(rf'"(?:[^"\\]|\\.)*"|{_NUMBER.pattern}|\w+|[^\s\w]')
 
 
 def _is_float(token: str) -> bool:
