@@ -35,8 +35,8 @@ from .paradox import (
 from .rng import derive_seed
 from .spectral import (
     SeriesCoefficients,
+    _resolvent_rule,
     dominant_eigenpair,
-    katz_action,
     odd_action,
     series_action,
 )
@@ -69,6 +69,14 @@ class SweepResult:
     tol: float
 
 
+def _measure_gaps(theta, omega, values, g: Graph) -> list:
+    """Undirected paradox gaps d.x / w_1 - 1.x / n of x = f(A) 1, one per
+    row of values = f(theta_j), from the spectral measure of (A, 1) with
+    nodes theta_j and weights omega_j: 1^T f(A) 1 = sum_j omega_j f(theta_j)
+    and d^T f(A) 1 = sum_j omega_j theta_j f(theta_j)."""
+    return (values @ (omega * (theta / g.total_weight - 1.0 / g.n))).tolist()
+
+
 def katz_alpha_sweep(g: Graph, grid_size: int = 20, tol: float = 1e-9) -> SweepResult:
     """Evaluate the degree-vs-Katz paradox at grid_size points.
 
@@ -86,10 +94,9 @@ def katz_alpha_sweep(g: Graph, grid_size: int = 20, tol: float = 1e-9) -> SweepR
     _check_tol(tol)
     rho = dominant_eigenpair(g).eigenvalue
     alphas = tuple(j / ((grid_size + 1) * rho) for j in range(1, grid_size + 1))
-    gaps = []
-    for a in alphas:
-        x = katz_action(g, a, spectral_radius=rho)
-        gaps.append(paradox_report(g, x, mode="undirected", tol=tol).gap)
+    grid = np.array(alphas)
+    theta, omega = _resolvent_rule(g, grid, rho)
+    gaps = _measure_gaps(theta, omega, 1.0 / (1.0 - np.outer(grid, theta)), g)
     # alphas[1] is exactly 2 * alphas[0]; with g(a) = c1 a + c2 a^2 + ...,
     # (4 g(a) - g(2a)) / (2a) = c1 + O(a^2).
     a1 = alphas[0]

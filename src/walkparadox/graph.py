@@ -128,6 +128,17 @@ class Graph:
         return {}
 
     @cached_property
+    def _reach(self) -> dict:
+        """Verdicts of is_connected and is_strongly_connected, by kind."""
+        return {}
+
+    @cached_property
+    def _perron_pairs(self) -> dict:
+        """EigenResults that spectral.dominant_eigenpair alone keeps, by
+        (side, tol); refusals are never kept."""
+        return {}
+
+    @cached_property
     def reverse(self) -> "Graph":
         """Arc-reversed graph; an undirected graph is its own reverse."""
         if not self.directed:
@@ -285,17 +296,23 @@ def _reaches_all(n: int, *adjacency: Sequence[Sequence[int]]) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    """Connectivity of the underlying undirected structure."""
-    if not g.directed:
-        return _reaches_all(g.n, g.out_lists)
-    return _reaches_all(g.n, g.out_lists, g.reverse.out_lists)
+    """Connectivity of the underlying undirected structure, kept on g."""
+    kept = g._reach
+    if "weak" not in kept:
+        lists = (g.out_lists,) if not g.directed else (g.out_lists, g.reverse.out_lists)
+        kept["weak"] = _reaches_all(g.n, *lists)
+    return kept["weak"]
 
 
 def is_strongly_connected(g: Graph) -> bool:
-    """Every node reaches every other along directed arcs."""
+    """Every node reaches every other along directed arcs; kept on g."""
     if not g.directed:
         return is_connected(g)
-    return _reaches_all(g.n, g.out_lists) and _reaches_all(g.n, g.reverse.out_lists)
+    kept = g._reach
+    if "strong" not in kept:
+        kept["strong"] = (_reaches_all(g.n, g.out_lists)
+                          and _reaches_all(g.n, g.reverse.out_lists))
+    return kept["strong"]
 
 
 def is_regular(g: Graph, orientation: str = "undirected"):

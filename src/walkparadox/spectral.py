@@ -11,7 +11,9 @@ Conventions fixed by this module:
 
 * Dominant eigenvectors are scaled to sum n, so paradox gaps computed
   from them are comparable across graphs; the reported residual
-  ||A x - lambda x||_2 is measured at that scale.
+  ||A x - lambda x||_2 is measured at that scale.  Each Perron pair is
+  kept on its graph by (side, tol), beside the connectivity verdict, so
+  a question asked again of the same graph costs no product.
 * Graphs with n <= 12 (_SMALL_N) are solved densely: one LAPACK
   eigendecomposition gives the Perron pair (eigh on undirected graphs,
   eig on digraphs) and, on undirected graphs, exp, sinh and cosh of
@@ -21,18 +23,25 @@ Conventions fixed by this module:
   bipartite and periodic structures converge.
 * Matrix-function actions on digraphs and on larger graphs sum the
   Taylor series term by term, since the eigenvectors of a non-normal
-  matrix are not orthogonal.
+  matrix are not orthogonal.  The sum stops on a proven entrywise bound
+  on its remainder, read from ratios of terms two products apart; it
+  refuses up front once a Collatz-Wielandt bound puts beta * lambda_1
+  past its term cap.
 * Katz vectors solve (I - alpha A) x = 1 by conjugate gradients on
   undirected graphs, where the operator is symmetric positive definite,
   and by restarted GMRES on digraphs.  They iterate to the rounding
   floor of the true residual; a stalled solve is accepted within tol
   or the worst-case rounding error of the residual.  max_iter counts
-  matrix-vector products.
+  matrix-vector products.  A whole grid of undirected Katz sums
+  1^T (I - alpha A)^{-1} 1 comes from one Lanczos run instead, as a
+  Gauss rule bracketed by its Gauss-Radau twin (_resolvent_rule).
 * Walk totals on unweighted graphs use Python integers, so they are
   exact at any order; weighted graphs fall back to float sums.  Totals
   w_k = 1^T A^k 1 and mixed sums 1^T A^T A^k 1 = (A 1).(A^k 1) share one
   A^k 1 loop, which is kept on the graph and extended on demand: every
   order up to K costs K products in all, however the orders are asked.
+  On an undirected graph the mixed sums are w_{k+1}, read from the
+  plain pass.
 """
 
 from __future__ import annotations
@@ -80,6 +89,14 @@ _ALPHA_MARGIN = 1e-9
 _SMALL_N = 12
 
 _TAYLOR_CAP = 20_000
+
+# Where the Gauss-Radau node z sits between rho and the nearest pole
+# 1/max(alpha), and the multiple of eps within which the Gauss and
+# Gauss-Radau values of 1^T (I - alpha A)^{-1} 1 end the Lanczos run.
+# On BA(2000, 3) at grid 20, C = 2, 4 and 32 took 22, 21 and 20 steps,
+# and the shift (tried at 1e-9 to 1e-3 relative to rho) moved no count.
+_RADAU_SHIFT = 1e-3
+_RULE_C = 4.0
 
 _EPS = float(np.finfo(float).eps)
 
@@ -183,7 +200,10 @@ def dominant_eigenpair(
     larger ones run power iteration on A + I for at most max_iter steps
     (default 100 n + 1000).  On either path tol bounds the residual.
     side "left" is served by solving on the reversed graph, so left on
-    g and right on its transpose coincide exactly.  Raises
+    g and right on its transpose coincide exactly.  The pair is kept on
+    g by (side, tol) and returned again to any call whose max_iter
+    covers the steps it took; the connectivity verdict is kept too, so
+    a repeated question costs no product and no search.  Raises
     ConvergenceError carrying the best pair if the residual exceeds tol,
     or if a dense solve finds the Perron root ahead of the next real part
     by at most n eps max|lambda|, where no residual can vouch for the
@@ -191,15 +211,27 @@ def dominant_eigenpair(
     """
     if side not in ("left", "right"):
         raise ParameterError(f"side must be 'left' or 'right': {side!r}")
-    _check_positive("tol", tol)
-    if not is_strongly_connected(g):
-        raise GraphError("irreducibility required: graph is not (strongly) connected")
-
-    work = _oriented(g, side)
+    tol = _check_positive("tol", tol)
     n = g.n
     if max_iter is None:
         max_iter = 100 * n + 1000
     _check_max_iter(max_iter)
+    # a kept pair proves irreducibility; the solve is deterministic, so a
+    # smaller max_iter than the kept pair took gives the same refusal again
+    kept = g._perron_pairs.get((side, tol))
+    if kept is not None and kept.iterations <= max_iter:
+        return kept
+    if not is_strongly_connected(g):
+        raise GraphError("irreducibility required: graph is not (strongly) connected")
+    result = _perron_solve(g, side, tol, max_iter)
+    g._perron_pairs[(side, tol)] = result
+    return result
+
+
+def _perron_solve(g: Graph, side: str, tol: float, max_iter: int) -> EigenResult:
+    """dominant_eigenpair's solve on a validated irreducible graph."""
+    work = _oriented(g, side)
+    n = g.n
     label = f"eigenvector[{side}]"
     if n <= _SMALL_N:
         lam, x, gap = _dense_perron(work)
@@ -409,6 +441,69 @@ def katz_action(
     )
 
 
+def _resolvent_rule(g: Graph, alphas: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (theta_j, omega_j) for the spectral measure of (A, 1) on
+    an undirected graph, exact for s(alpha) = 1^T (I - alpha A)^{-1} 1 =
+    sum_j omega_j / (1 - alpha theta_j) at every alpha given, all below
+    1/rho.
+
+    m Lanczos steps on A from 1/sqrt(n) give the Jacobi matrix T_m, whose
+    eigenpairs give the m-node Gauss rule: theta_j its eigenvalues and
+    omega_j = n (first component of the j-th eigenvector)^2.  The
+    recurrence keeps three vectors and no basis.  Every derivative of
+    1/(1 - alpha theta) is positive below 1/alpha, so the Gauss value
+    n e_1^T (I - alpha T_m)^{-1} e_1 is a lower bound on s, and the
+    Gauss-Radau value, whose extra node is fixed at z just above rho, an
+    upper bound (Golub & Meurant, Matrices, Moments and Quadrature,
+    2010).  Both follow from the pivots of I - alpha T_m and T_m - z I
+    at O(1) cost a step.  The run stops once the bracket is within a few
+    eps of s at every alpha, or on breakdown (beta_m <= n eps rho), where
+    the Krylov space is invariant and the rule exact.  Past n steps it
+    raises ConvergenceError with the bracket it reached.
+    """
+    n = g.n
+    z = rho + _RADAU_SHIFT * (1.0 / float(alphas.max()) - rho)
+    q_prev, q = np.zeros(n), np.full(n, 1.0 / math.sqrt(n))
+    diag, off = [], []
+    # per alpha: last pivot of I - alpha T_m, (I - alpha T_m)^{-1} at
+    # (1, m) and (1, 1); and the last pivot of T_m - z I
+    pivot = corner = gauss = None
+    z_pivot, b = 0.0, 0.0
+    for _ in range(n):
+        w = _matvec(g, q) - b * q_prev
+        a = float(q @ w)
+        w -= a * q
+        diag.append(a)
+        if pivot is None:
+            pivot = 1.0 - alphas * a
+            corner = gauss = 1.0 / pivot
+            z_pivot = a - z
+        else:
+            e = alphas * b
+            pivot = 1.0 - alphas * a - e * e / pivot
+            corner = corner * e / pivot
+            gauss = gauss + corner * corner * pivot
+            z_pivot = a - z - b * b / z_pivot
+        b = float(np.linalg.norm(w))
+        if b <= n * _EPS * rho:
+            break
+        # the extra node's diagonal entry makes z an eigenvalue of T_{m+1}
+        e = alphas * b
+        radau_pivot = 1.0 - alphas * (z + b * b / z_pivot) - e * e / pivot
+        radau = gauss + (corner * e) ** 2 / radau_pivot
+        width = float(np.max((radau - gauss) / gauss))
+        if width <= _RULE_C * _EPS:
+            break
+        off.append(b)
+        q_prev, q = q, w / b
+    else:
+        raise ConvergenceError(f"Lanczos rule did not settle in {n} steps: bracket on "
+                               f"1^T (I - alpha A)^-1 1 still {width:.3g} relative",
+                               residual=width)
+    theta, s = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return theta, n * s[0] ** 2
+
+
 @dataclass(frozen=True)
 class SeriesCoefficients:
     """Nonnegative weights c_0..c_K of a finite walk-series centrality."""
@@ -456,6 +551,24 @@ def _dense_function(g: Graph, beta: float, parity: int | None) -> np.ndarray:
     return x
 
 
+def _chain_tail(later: np.ndarray, earlier: np.ndarray, j: int) -> np.ndarray | None:
+    """Entrywise bound on t_{j+2} + t_{j+4} + ... from the Taylor terms
+    t_j (later) and t_{j-2} (earlier), or None where none is proven.
+
+    A^2 t_{j-2} = j (j-1) / beta^2 t_j, so c = max_i (A^2 t_{j-2})_i /
+    (t_{j-2})_i costs no product.  A >= 0 carries A^2 t <= c t along the
+    chain, so t_{j+2p} <= r^p t_j with r = beta^2 c / ((j+1)(j+2)).  An
+    entry that is 0 where the later term is positive underflowed, and
+    proves nothing.
+    """
+    live = earlier > 0
+    if np.any(later[~live] > 0):
+        return None
+    ratio = np.divide(later, earlier, out=np.zeros_like(later), where=live)
+    r = float(ratio.max()) * (j * (j - 1)) / ((j + 1) * (j + 2))
+    return later * (r / (1.0 - r)) if r < 1.0 else None
+
+
 def _taylor_action(
     g: Graph, beta: float, tol: float, parity: int | None, label: str
 ) -> NodeVector:
@@ -463,20 +576,15 @@ def _taylor_action(
     _check_positive("tol", tol)
     if g.n <= _SMALL_N and not g.directed:
         return NodeVector(_dense_function(g, beta, parity), label)
-    term = np.ones(g.n)
-    total = term.copy() if parity in (None, 0) else np.zeros(g.n)
-    # Terms grow until k ~ beta * max row sum; never trust the tolerance
-    # test before that point, so a settle point past the cap is refused
-    # before any term is formed.
-    settle = beta * float(_row_sums(g).max())
-    if settle > _TAYLOR_CAP:
-        raise ConvergenceError(f"series cannot settle within {_TAYLOR_CAP} terms: "
-                               f"beta * max row sum = {settle:.6g}")
+    # the last four terms t_{k-3}..t_k, enough for both chains' tail bounds
+    terms = [np.ones(g.n)]
+    total = terms[0].copy() if parity in (None, 0) else np.zeros(g.n)
     # A >= 0 and the first term is 1, so terms and total are nonnegative
     # and can overflow only to +inf, never to NaN
     with np.errstate(over="ignore"):
         for k in range(1, _TAYLOR_CAP + 1):
-            term = (beta / k) * _matvec(g, term)
+            term = (beta / k) * _matvec(g, terms[-1])
+            terms = terms[-3:] + [term]
             top = float(term.max())
             if top == math.inf:
                 raise ParameterError(
@@ -484,7 +592,22 @@ def _taylor_action(
                 )
             if parity is None or k % 2 == parity:
                 total += term
-            if k >= settle and top <= tol * float(total.max()):
+            if k & (k - 1) == 0 and k > 1:
+                # Collatz-Wielandt: min_i (A^2 t)_i / t_i <= lambda_1^2 over
+                # the entries with t_i > 0, and the sum needs about
+                # beta * lambda_1 terms before its terms start to fall
+                earlier = terms[-3]
+                live = earlier > 0
+                low = math.sqrt(k * (k - 1) * float(np.min(term[live] / earlier[live],
+                                                         initial=math.inf)))
+                if low > _TAYLOR_CAP:
+                    raise ConvergenceError(f"series cannot settle within {_TAYLOR_CAP} terms: "
+                                           f"beta * lambda_1 >= {low:.6g}")
+            if k < 3 or top > tol * float(total.max()):
+                continue
+            chains = [j for j in (k - 1, k) if parity is None or j % 2 == parity]
+            tails = [_chain_tail(terms[j - k - 1], terms[j - k - 3], j) for j in chains]
+            if all(t is not None for t in tails) and np.all(sum(tails) <= tol * total):
                 return NodeVector(total, label)
     raise ConvergenceError(
         f"series did not settle within {_TAYLOR_CAP} terms",
@@ -499,10 +622,14 @@ def exp_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     Undirected graphs with n <= 12 (_SMALL_N) take U exp(beta Theta) U^T 1
     from one dense eigh, exact to rounding; tol is validated but has
     nothing to bound there.  Every other graph sums the Taylor series
-    until a term falls below tol times the largest entry of the sum, past
-    the point k = beta * (max row sum) where terms stop growing and
-    within 20,000 terms.  A result that leaves the float range raises
-    ParameterError.
+    until a proven bound on the remainder is within tol of the sum in
+    every entry: with c = max_i (A^2 t_{k-2})_i / (t_{k-2})_i, read from
+    the terms themselves, each later term of t_k's parity chain is at
+    most r = beta^2 c / ((k+1)(k+2)) times the one before.  The sum needs
+    about beta * lambda_1 terms and stops within 20,000; a
+    Collatz-Wielandt lower bound on beta * lambda_1 past that cap is
+    refused with ConvergenceError after a few products.  A result that
+    leaves the float range raises ParameterError.
     """
     return _taylor_action(g, beta, tol, None, f"total[beta={beta:.6g}]")
 
@@ -532,6 +659,10 @@ def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
     the last walk vector, so orders asked one at a time cost one pass.
     An order is kept once its total and mixed sum are both formed.
 
+    On an undirected graph A^T A^k 1 = A^{k+1} 1, so the mixed sums are
+    the totals w_1..w_{kmax+1} of the plain pass, and no mixed pass is
+    formed.
+
     Exact Python integers on unweighted graphs (arbitrary precision, so
     no overflow is possible); floats on weighted graphs, where overflow
     warnings are silenced and sums that leave the finite range are
@@ -539,6 +670,9 @@ def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
     """
     if kmax < 0:
         raise ParameterError("walk order must be nonnegative")
+    if mixed and not g.directed:
+        totals = _walk_sums(g, kmax + 1)[0]
+        return totals[:-1], totals[1:]
     if g.unweighted:
         lists = g.out_lists
         x, quiet = [1] * g.n, contextlib.nullcontext()

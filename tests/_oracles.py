@@ -13,6 +13,12 @@ from fractions import Fraction
 import numpy as np
 
 
+def rebuilt(g):
+    """The same arrays in a new Graph object, which keeps no walk pass,
+    connectivity verdict or Perron pair yet."""
+    return type(g)(g.n, g.directed, g.indptr, g.indices, g.weights)
+
+
 def dense_adjacency(g) -> np.ndarray:
     """Float adjacency matrix; undirected graphs come out symmetric."""
     a = np.zeros((g.n, g.n))

@@ -43,6 +43,56 @@ def test_sweep_on_regular_graph_is_flat():
     assert res.violations == ()
 
 
+def _katz_solve_gaps(g, res):
+    # the sweep's former path: one Krylov Katz solve and one report per alpha
+    return [wp.paradox_report(g, wp.katz_action(g, a, spectral_radius=res.spectral_radius)).gap
+            for a in res.alphas]
+
+
+def _weighted_ba300():
+    return wp.build(300, [(i, j, 0.5 + ((i * j) % 7) / 4)
+                          for i, j, _ in wp.barabasi_albert(300, 3, seed=2).edges()])
+
+
+def test_sweep_matches_katz_solves(exhaustive6):
+    graphs = exhaustive6[::27] + [_weighted_ba300(), wp.path(60), wp.star_undirected(2000)]
+    for g in graphs:
+        res = katz_alpha_sweep(g)
+        for got, want in zip(res.gaps, _katz_solve_gaps(g, res)):
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (g, got, want)
+
+
+def test_sweep_takes_few_products(monkeypatch):
+    # one Lanczos run for the whole grid, where 20 Katz solves took 437
+    # products on this graph; breakdown ends the run at once on a star
+    from walkparadox import spectral
+
+    calls, matvec = [], spectral._matvec
+    monkeypatch.setattr(spectral, "_matvec", lambda g, x: calls.append(1) or matvec(g, x))
+    for g, budget in ((wp.barabasi_albert(2000, 3, seed=1), 40),
+                      (wp.star_undirected(2000), 2), (wp.cycle(8), 1)):
+        wp.dominant_eigenpair(g)
+        calls.clear()
+        katz_alpha_sweep(g)
+        assert len(calls) <= budget, g
+
+
+def test_sweep_rule_raises_after_n_steps(monkeypatch):
+    # with the bracket test unmeetable, only breakdown could end the run,
+    # and in floating point Lanczos on BA(200) never breaks down: the run
+    # stops after n steps and reports the bracket it reached
+    from walkparadox import spectral
+
+    g = wp.barabasi_albert(200, 3, seed=1)
+    wp.dominant_eigenpair(g)
+    calls, matvec = [], spectral._matvec
+    monkeypatch.setattr(spectral, "_matvec", lambda h, x: calls.append(1) or matvec(h, x))
+    monkeypatch.setattr(spectral, "_RULE_C", -1.0)
+    with pytest.raises(ConvergenceError, match="did not settle in 200 steps") as info:
+        katz_alpha_sweep(g)
+    assert len(calls) == 200 and 0 <= info.value.residual <= 1e-14
+
+
 def test_sweep_validation():
     with pytest.raises(GraphError, match="undirected"):
         katz_alpha_sweep(wp.three_node())

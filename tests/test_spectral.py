@@ -401,26 +401,87 @@ def _counted_matvec(monkeypatch):
     return calls
 
 
-def test_taylor_refuses_a_settle_point_past_the_cap(monkeypatch):
-    # terms are trusted only from k = beta * max row sum = 24999 on,
-    # and the sum stops at 20000 terms: refused before any product
+def test_taylor_refuses_beta_lambda_past_the_cap(monkeypatch):
+    # on a star min_i (A^2 1)_i / 1 = n - 1 = lambda_1^2, so two products
+    # prove beta * lambda_1 = 200 * sqrt(24999) past the 20,000-term cap
     calls = _counted_matvec(monkeypatch)
     g = wp.star_undirected(25_000)
     for action in (wp.exp_action, wp.odd_action, wp.even_action):
-        with pytest.raises(ConvergenceError, match="20000 terms: beta \\* max row sum = 24999"):
-            action(g, 1.0)
-    assert calls == []
-
-
-def test_taylor_runs_when_the_settle_point_meets_the_cap(monkeypatch):
+        with pytest.raises(ConvergenceError, match="20000 terms: beta \\* lambda_1 >= 31622.1$"):
+            action(g, 200.0)
+    assert len(calls) == 6
     monkeypatch.setattr(spectral, "_TAYLOR_CAP", 10)
+    calls.clear()
+    with pytest.raises(ConvergenceError, match="within 10 terms: beta \\* lambda_1 >= 19.97"):
+        wp.exp_action(_directed_twin(wp.star_undirected(400)), 1.0)
+    assert len(calls) == 2
+    # lambda_1 = 7 is below the cap, but ten terms cannot prove tol 1e-12
+    calls.clear()
+    with pytest.raises(ConvergenceError, match="did not settle within 10 terms") as info:
+        wp.exp_action(_directed_twin(wp.star_undirected(50)), 1.0)
+    assert len(calls) == 10 and info.value.best.values.min() > 1.0
+
+
+def _star_closed_form(n, beta):
+    # 1 lies in the span of the hub and the leaf indicator, where A acts
+    # as [[0, m], [1, 0]] with m = n - 1 leaves and (beta A)^2 as s^2 I
+    m = n - 1
+    s = beta * math.sqrt(m)
+    sinh, cosh = math.sinh(s), math.cosh(s)
+    pairs = {"exp": (cosh + math.sqrt(m) * sinh, cosh + sinh / math.sqrt(m)),
+             "odd": (math.sqrt(m) * sinh, sinh / math.sqrt(m)),
+             "even": (cosh, cosh)}
+    out = {}
+    for name, (hub, leaf) in pairs.items():
+        out[name] = np.full(n, leaf)
+        out[name][0] = hub
+    return out
+
+
+@pytest.mark.parametrize("n", [15_000, 25_000])
+def test_taylor_answers_the_star_by_its_remainder_bound(n, monkeypatch):
+    # beta * max row sum = n - 1 terms were once waited for; the remainder
+    # bound needs about beta * lambda_1 = sqrt(n - 1) ~ 122-158
     calls = _counted_matvec(monkeypatch)
-    star = _directed_twin(wp.star_undirected(11))
-    assert wp.exp_action(star, 1.0, tol=0.5).values.min() > 1.0
-    assert len(calls) == 10
-    with pytest.raises(ConvergenceError, match="within 10 terms: beta \\* max row sum = 11"):
-        wp.exp_action(_directed_twin(wp.star_undirected(12)), 1.0, tol=0.5)
-    assert len(calls) == 10
+    g = wp.star_undirected(n)
+    exact = _star_closed_form(n, 1.0)
+    for name, action in (("exp", wp.exp_action), ("odd", wp.odd_action),
+                         ("even", wp.even_action)):
+        calls.clear()
+        x = action(g, 1.0).values
+        assert len(calls) <= 300, name
+        # the hub's row sums n - 1 terms a product, which alone rounds by
+        # up to n eps ~ 5.6e-12 relative; the truncation is within tol
+        assert np.max(np.abs(x - exact[name]) / exact[name]) <= 1e-10, name
+
+
+def _expm_oracle(g, beta, name):
+    sparse = pytest.importorskip("scipy.sparse")
+    linalg = pytest.importorskip("scipy.sparse.linalg")
+    a = sparse.csr_matrix((g.weights, g.indices, g.indptr), shape=(g.n, g.n))
+    up = linalg.expm_multiply(beta * a, np.ones(g.n))
+    if name == "exp":
+        return up
+    down = linalg.expm_multiply(-beta * a, np.ones(g.n))
+    return (up - down) / 2 if name == "odd" else (up + down) / 2
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("make", [
+    lambda: wp.barabasi_albert(2000, 3, seed=1),
+    lambda: wp.erdos_renyi_directed(300, 0.02, seed=7),  # two sinks
+    lambda: wp.build(300, [(i, j, 0.5 + ((i * j) % 7) / 4) for i, j, _ in
+                           wp.barabasi_albert(300, 3, seed=2).edges()]),
+], ids=["ba", "directed-er", "weighted-ba"])
+def test_taylor_stops_within_tol_of_expm_multiply(make, tol):
+    # the remainder bound holds entry by entry, so every entry is within
+    # tol of the oracle, on digraphs with sinks too
+    g = make()
+    for name, action in (("exp", wp.exp_action), ("odd", wp.odd_action),
+                         ("even", wp.even_action)):
+        x = action(g, 1.5, tol=tol).values
+        ref = _expm_oracle(g, 1.5, name)
+        assert np.all(np.abs(x - ref) <= tol * ref), (name, np.max(np.abs(x - ref) / ref))
 
 
 def test_action_labels():
@@ -584,6 +645,92 @@ def test_solvers_reject_non_finite_tol(solve, tol):
     # eigenvalue 3.06 on this graph, where the true value is 8.99
     with pytest.raises(ParameterError, match="tol must be positive and finite"):
         solve(wp.barabasi_albert(200, 2, seed=1), tol)
+
+
+# ------------------------------------------------------ kept Perron pairs
+
+
+def _digraph300():
+    return _cycle_plus_random_arcs(300, 3, seed=4)
+
+
+def _counted_searches(monkeypatch):
+    searches, reaches_all = [], wp.graph._reaches_all
+    monkeypatch.setattr(wp.graph, "_reaches_all",
+                        lambda *args: searches.append(1) or reaches_all(*args))
+    return searches
+
+
+@pytest.mark.parametrize("make", [lambda: wp.barabasi_albert(300, 3, seed=5), _digraph300,
+                                  wp.figure1], ids=["ba", "digraph", "figure1"])
+def test_kept_perron_pairs_match_a_fresh_graph(make):
+    g = make()
+    for side in ("right", "left"):
+        first = wp.dominant_eigenpair(g, side=side)
+        assert wp.dominant_eigenpair(g, side=side) is first
+        fresh = wp.dominant_eigenpair(oracle.rebuilt(g), side=side)
+        assert repr(first) == repr(fresh)
+        assert np.array_equal(first.vector.values, fresh.vector.values)
+
+
+def test_repeat_questions_make_no_product_and_no_search(monkeypatch):
+    d, u = _digraph300(), wp.barabasi_albert(300, 3, seed=5)
+    calls, searches = _counted_matvec(monkeypatch), _counted_searches(monkeypatch)
+    reports = [wp.check_spectral_directed(d, side) for side in ("left", "right")]
+    first = wp.dominant_eigenpair(u)
+    assert calls and searches
+    calls.clear()
+    searches.clear()
+    assert [wp.check_spectral_directed(d, side) for side in ("left", "right")] == reports
+    assert wp.dominant_eigenpair(u) is first
+    assert wp.spectral_radius_estimate(u) == first.eigenvalue
+    assert wp.dominant_eigenpair(u, max_iter=first.iterations) is first
+    assert calls == [] and searches == []
+    # a sweep reads the kept pair: its only products are its Lanczos steps
+    sweep = wp.katz_alpha_sweep(u)
+    assert sweep.spectral_radius == first.eigenvalue
+    assert 0 < len(calls) <= 40 and searches == []
+
+
+def test_a_smaller_max_iter_refuses_as_a_fresh_graph_does():
+    g = wp.barabasi_albert(300, 3, seed=5)
+    kept = wp.dominant_eigenpair(g)
+    assert kept.iterations > 1
+    refusals = []
+    for h in (g, oracle.rebuilt(g)):
+        with pytest.raises(ConvergenceError) as info:
+            wp.dominant_eigenpair(h, max_iter=kept.iterations - 1)
+        refusals.append((str(info.value), info.value.residual, repr(info.value.best),
+                         info.value.best.vector.values.tobytes()))
+    assert refusals[0] == refusals[1]
+    # the refusal is not kept, and the kept pair still answers
+    assert wp.dominant_eigenpair(g) is kept
+
+
+def test_a_different_tol_makes_its_own_solve(monkeypatch):
+    g = wp.barabasi_albert(300, 3, seed=5)
+    kept = wp.dominant_eigenpair(g)
+    calls = _counted_matvec(monkeypatch)
+    loose = wp.dominant_eigenpair(g, tol=1e-6)
+    assert len(calls) == loose.iterations > 0
+    assert loose is not kept and loose.iterations < kept.iterations
+    assert wp.dominant_eigenpair(g, tol=1e-6) is loose
+    assert wp.dominant_eigenpair(g) is kept
+
+
+def test_kept_pairs_keep_validation_first(monkeypatch):
+    g = wp.barabasi_albert(300, 3, seed=5)
+    wp.dominant_eigenpair(g)
+    for kwargs, match in (({"side": "up"}, "side"), ({"tol": 0.0}, "tol"),
+                          ({"max_iter": 0}, "max_iter")):
+        with pytest.raises(ParameterError, match=match):
+            wp.dominant_eigenpair(g, **kwargs)
+    split = wp.build(20, [(i, i + 1) for i in range(9)] + [(i, i + 1) for i in range(10, 19)])
+    for _ in range(2):
+        for side in ("right", "left"):
+            with pytest.raises(GraphError, match="irreducibility"):
+                wp.dominant_eigenpair(split, side=side)
+    assert split._perron_pairs == {}
 
 
 @pytest.mark.parametrize("max_iter", [0, -5, 2.5])
