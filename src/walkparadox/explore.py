@@ -7,6 +7,10 @@ the opposite one: whenever a theorem-guaranteed inequality fails inside
 a suite run, the run aborts with a replayable dump, because that can
 only mean a bug on this side of the mathematics.
 
+The Katz sweep asks no Katz solve: one Lanczos run gives the spectral
+measure of (A, 1) as a Gauss rule, and every gap on the grid is read
+from it.
+
 The exhaustive product-inequality search is the one harness that does
 not go graph by graph while int64 holds its walk totals: it computes them
 for blocks of up to 4,096 enumerated graphs at once, straight from their
@@ -81,9 +85,14 @@ def katz_alpha_sweep(g: Graph, grid_size: int = 20, tol: float = 1e-9) -> SweepR
     """Evaluate the degree-vs-Katz paradox at grid_size points.
 
     The grid is alpha_j = j / ((grid_size + 1) * lambda_1), j = 1..grid_size:
-    strictly inside (0, 1/lambda_1), excluding both degenerate endpoints.
-    The reported derivative at zero comes from the two smallest points,
-    combined to cancel the quadratic term.
+    strictly inside (0, 1/lambda_1), excluding both degenerate endpoints;
+    lambda_1 is the graph's kept Perron root.  Every gap comes from one
+    Lanczos run on A from 1/sqrt(n): the Katz vector x obeys
+    d^T x = (1^T x - n) / alpha, so each gap is affine in
+    1^T (I - alpha A)^{-1} 1, and the run stops once a Gauss and a
+    Gauss-Radau rule bracket that sum within a few eps at every alpha
+    (spectral._resolvent_rule).  The reported derivative at zero comes
+    from the two smallest points, combined to cancel the quadratic term.
     """
     if g.directed:
         raise GraphError("the sweep is defined for undirected graphs")

@@ -592,14 +592,13 @@ def _taylor_action(
                 )
             if parity is None or k % 2 == parity:
                 total += term
-            if k & (k - 1) == 0 and k > 1:
+            if k > 1 and k & (k - 1) == 0:
                 # Collatz-Wielandt: min_i (A^2 t)_i / t_i <= lambda_1^2 over
                 # the entries with t_i > 0, and the sum needs about
                 # beta * lambda_1 terms before its terms start to fall
                 earlier = terms[-3]
-                live = earlier > 0
-                low = math.sqrt(k * (k - 1) * float(np.min(term[live] / earlier[live],
-                                                         initial=math.inf)))
+                ratios = term[earlier > 0] / earlier[earlier > 0]
+                low = math.sqrt(k * (k - 1) * float(ratios.min())) if ratios.size else 0.0
                 if low > _TAYLOR_CAP:
                     raise ConvergenceError(f"series cannot settle within {_TAYLOR_CAP} terms: "
                                            f"beta * lambda_1 >= {low:.6g}")
