@@ -576,9 +576,15 @@ def _taylor_action(
     _check_positive("tol", tol)
     if g.n <= _SMALL_N and not g.directed:
         return NodeVector(_dense_function(g, beta, parity), label)
+    # lambda_1 <= max row sum, so the refusal below can fire only when
+    # beta * (max row sum) is past the cap
+    may_refuse = beta * float(_row_sums(g).max()) > _TAYLOR_CAP
     # the last four terms t_{k-3}..t_k, enough for both chains' tail bounds
     terms = [np.ones(g.n)]
     total = terms[0].copy() if parity in (None, 0) else np.zeros(g.n)
+    # the sum of the summed terms' maxima bounds total.max() from above,
+    # so total.max() is formed only once the cheap test can pass
+    ceiling = float(total.max())
     # A >= 0 and the first term is 1, so terms and total are nonnegative
     # and can overflow only to +inf, never to NaN
     with np.errstate(over="ignore"):
@@ -592,7 +598,8 @@ def _taylor_action(
                 )
             if parity is None or k % 2 == parity:
                 total += term
-            if k > 1 and k & (k - 1) == 0:
+                ceiling += top
+            if may_refuse and k > 1 and k & (k - 1) == 0:
                 # Collatz-Wielandt: min_i (A^2 t)_i / t_i <= lambda_1^2 over
                 # the entries with t_i > 0, and the sum needs about
                 # beta * lambda_1 terms before its terms start to fall
@@ -602,7 +609,7 @@ def _taylor_action(
                 if low > _TAYLOR_CAP:
                     raise ConvergenceError(f"series cannot settle within {_TAYLOR_CAP} terms: "
                                            f"beta * lambda_1 >= {low:.6g}")
-            if k < 3 or top > tol * float(total.max()):
+            if k < 3 or top > tol * ceiling or top > tol * float(total.max()):
                 continue
             chains = [j for j in (k - 1, k) if parity is None or j % 2 == parity]
             tails = [_chain_tail(terms[j - k - 1], terms[j - k - 3], j) for j in chains]
