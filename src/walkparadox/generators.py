@@ -28,7 +28,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import GraphError, ParameterError
-from .graph import Graph, build, is_connected
+from .graph import Graph, _assemble, is_connected
 from .rng import CounterRng, derive_seed
 
 __all__ = [
@@ -57,48 +57,58 @@ _FIGURE1_EDGES = ((0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (4, 6), (5, 6), (6, 7)
 _PAIRING_ATTEMPTS = 10_000
 
 
+def _graph(n: int, edges, directed: bool = False) -> Graph:
+    """The unweighted graph on n nodes with these (source, target) pairs.
+
+    The families' edges are valid by construction, so they go straight
+    to the assembly entry without build's per-edge checks.
+    """
+    arcs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return _assemble(int(n), directed, arcs[:, 0], arcs[:, 1])
+
+
 def figure1() -> Graph:
     """The 8-node introductory example network (degrees 4,1,1,1,3,2,3,1)."""
-    return build(8, _FIGURE1_EDGES)
+    return _graph(8, _FIGURE1_EDGES)
 
 
 def path(n: int) -> Graph:
     if n < 2:
         raise ParameterError("path requires n >= 2")
-    return build(n, [(i, i + 1) for i in range(n - 1)])
+    return _graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ParameterError("cycle requires n >= 3")
-    return build(n, [(i, (i + 1) % n) for i in range(n)])
+    return _graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 2:
         raise ParameterError("complete graph requires n >= 2")
-    return build(n, list(combinations(range(n), 2)))
+    return _graph(n, list(combinations(range(n), 2)))
 
 
 def star_undirected(n: int) -> Graph:
     """Hub node 0 joined to n-1 leaves."""
     if n < 2:
         raise ParameterError("star requires n >= 2")
-    return build(n, [(0, i) for i in range(1, n)])
+    return _graph(n, [(0, i) for i in range(1, n)])
 
 
 def star_out(n: int) -> Graph:
     """All arcs leave node 0: d_out = (n-1, 0, ...), d_in = (0, 1, ...)."""
     if n < 2:
         raise ParameterError("star requires n >= 2")
-    return build(n, [(0, i) for i in range(1, n)], directed=True)
+    return _graph(n, [(0, i) for i in range(1, n)], directed=True)
 
 
 def star_in(n: int) -> Graph:
     """All arcs enter node 0."""
     if n < 2:
         raise ParameterError("star requires n >= 2")
-    return build(n, [(i, 0) for i in range(1, n)], directed=True)
+    return _graph(n, [(i, 0) for i in range(1, n)], directed=True)
 
 
 def hub_cycle(n: int) -> Graph:
@@ -107,19 +117,19 @@ def hub_cycle(n: int) -> Graph:
     edges = [(0, j) for j in range(1, n)]
     edges += [(i, i + 1) for i in range(1, n - 1)]
     edges += [(n - 1, 0), (n - 1, 1)]
-    return build(n, edges, directed=True)
+    return _graph(n, edges, directed=True)
 
 
 def three_node() -> Graph:
     """Adjacency rows (0,1,1), (0,0,1), (1,0,0): strongly connected,
     dominant eigenvalue below the mean degree 4/3."""
-    return build(3, [(0, 1), (0, 2), (1, 2), (2, 0)], directed=True)
+    return _graph(3, [(0, 1), (0, 2), (1, 2), (2, 0)], directed=True)
 
 
 def directed_cycle(n: int) -> Graph:
     if n < 2:
         raise ParameterError("directed cycle requires n >= 2")
-    return build(n, [(i, (i + 1) % n) for i in range(n)], directed=True)
+    return _graph(n, [(i, (i + 1) % n) for i in range(n)], directed=True)
 
 
 def k_regular_random(n: int, k: int, seed: int = 0) -> Graph:
@@ -150,7 +160,7 @@ def k_regular_random(n: int, k: int, seed: int = 0) -> Graph:
                 break
             seen.add(key)
         if ok:
-            return build(n, sorted(seen))
+            return _graph(n, sorted(seen))
     raise GraphError(
         f"stub pairing failed {_PAIRING_ATTEMPTS} times for n={n}, k={k}; "
         "this parameter range is too dense for rejection sampling"
@@ -169,7 +179,7 @@ def _bernoulli(n: int, p: float, seed: int, directed: bool) -> Graph:
     edges = [pair for pair in pairs if rng.uniform() < p]
     if not edges:
         raise GraphError(f"sampled an empty graph (n={n}, p={p}, seed={seed}); increase p")
-    return build(n, edges, directed=directed)
+    return _graph(n, edges, directed=directed)
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
@@ -200,7 +210,7 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
             edges.append((t, j))
         endpoints.extend([t] * m)
         endpoints.extend(sorted(targets))
-    return build(n, edges)
+    return _graph(n, edges)
 
 
 _FAMILIES = {
@@ -326,7 +336,7 @@ def _connected_mask_blocks(max_n: int):
 
 def _mask_graph(n: int, pairs, mask: int) -> Graph:
     """The graph on n nodes with edge pairs[i] for every bit i set in mask."""
-    return build(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+    return _graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
 
 
 def enumerate_connected(max_n: int):

@@ -10,6 +10,12 @@ constructor): no self-loops, no duplicate edges, strictly positive
 weights, at least one edge.  A graph whose stored weights are all
 exactly 1.0 is flagged ``unweighted`` and gets exact integer arithmetic
 in the modules that care.
+
+Every graph is assembled by one private entry, :func:`_assemble`, from
+edge arrays.  ``build`` calls it after its own per-edge checks; the
+edge-list parser, which checks whole arrays with line numbers, and the
+generators, whose edges are valid by construction, call it directly, so
+no edge is validated twice.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ __all__ = [
 
 # Largest node count whose int64 indptr (n + 1 entries) numpy can size.
 _MAX_NODES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 1
+
+# Largest node count whose arcs sort on the one int64 key source * n + target.
+_SORT_KEY_N = math.isqrt(np.iinfo(np.int64).max)
 
 # Relative spread below which weighted degrees count as equal.
 _REGULAR_RTOL = 1e-12
@@ -143,7 +152,7 @@ class Graph:
         """Arc-reversed graph; an undirected graph is its own reverse."""
         if not self.directed:
             return self
-        return _csr(self.n, True, self.indices, self.rows, self.weights)
+        return _assemble(self.n, True, self.indices, self.rows, self.weights)
 
     def arcs(self) -> Iterator[tuple[int, int, float]]:
         """All stored arcs as (source, target, weight)."""
@@ -190,8 +199,6 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise GraphError("node count must be a positive integer")
     n = int(n)
-    if n > _MAX_NODES:
-        raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
 
     src: list[int] = []
     dst: list[int] = []
@@ -224,22 +231,34 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         src.append(s)
         dst.append(t)
         wts.append(w)
-        if not directed:
-            src.append(t)
-            dst.append(s)
-            wts.append(w)
 
     if not src:
         raise GraphError("graph must contain at least one edge")
 
-    return _csr(n, bool(directed), np.asarray(src, dtype=np.int64),
-                np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64))
+    return _assemble(n, bool(directed), np.asarray(src, dtype=np.int64),
+                     np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64))
 
 
-def _csr(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
-         wts: np.ndarray) -> Graph:
-    """Sort (source, target, weight) arcs row-major into a CSR graph."""
-    order = np.lexsort((dst, src))
+def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
+              wts: np.ndarray | None = None) -> Graph:
+    """The one CSR assembly: edges (source, target, weight) as int64 and
+    float64 arrays, weight 1 when ``wts`` is None, mirrored when
+    undirected and sorted row-major (on one int64 key while n * n fits,
+    which is faster than a two-key sort).  Refuses only a node count past
+    ``_MAX_NODES``, before it reads an array; the caller vouches for the
+    edges.  Duplicate edges come out as equal adjacent arcs in a row.
+    """
+    if n > _MAX_NODES:
+        raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
+    if wts is None:
+        wts = np.ones(len(src))
+    if not directed:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+        wts = np.concatenate((wts, wts))
+    if n <= _SORT_KEY_N:
+        order = np.argsort(src * n + dst)
+    else:
+        order = np.lexsort((dst, src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, directed, indptr, dst[order], wts[order])

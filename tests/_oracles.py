@@ -233,3 +233,81 @@ def residual_dense(g, vector, eigenvalue) -> float:
     a = dense_adjacency(g)
     x = np.asarray(vector, dtype=float)
     return float(np.linalg.norm(a @ x - eigenvalue * x))
+
+
+def parse_edge_list(text: str, one_based: bool = False):
+    """The edge-list parser line by line: each line checked in turn with a
+    dict of the edges seen so far, then every edge handed to build."""
+    from walkparadox import GraphError, build
+
+    directed = False
+    declared = None
+    edges = []
+    first_at = {}
+    top = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("%"):
+            if edges:
+                raise GraphError(f"line {lineno}: directives must precede all edges")
+            directive = line[1:].strip().lower()
+            tokens = directive.split()
+            if directive == "directed":
+                directed = True
+            elif directive == "one-based":
+                one_based = True
+            elif tokens[:1] == ["nodes"]:
+                if len(tokens) != 2 or not tokens[1].isdecimal():
+                    raise GraphError(f"line {lineno}: %nodes needs one integer, "
+                                     "e.g. %nodes 12")
+                declared = int(tokens[1])
+            else:
+                raise GraphError(f"line {lineno}: unknown directive {line!r}")
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise GraphError(
+                f"line {lineno}: expected 'source target [weight]', got {raw!r}"
+            )
+        try:
+            s, t = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphError(f"line {lineno}: node ids must be integers: {raw!r}") from None
+        w = 1.0
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise GraphError(f"line {lineno}: bad weight: {raw!r}") from None
+        written = (s, t)
+        if one_based:
+            if s < 1 or t < 1:
+                raise GraphError(f"line {lineno}: ids must be >= 1 in one-based input")
+            s, t = s - 1, t - 1
+        if s < 0 or t < 0:
+            raise GraphError(f"line {lineno}: negative node id")
+        if s == t:
+            raise GraphError(f"self-loop at line {lineno}")
+        key = (s, t) if directed or s < t else (t, s)
+        if key in first_at:
+            raise GraphError(f"line {lineno}: duplicate edge {written}, "
+                             f"first at line {first_at[key]}")
+        first_at[key] = lineno
+        if w <= 0:
+            raise GraphError(f"line {lineno}: nonpositive weight")
+        if not math.isfinite(w):
+            raise GraphError(f"line {lineno}: non-finite weight")
+        edges.append((s, t, w))
+        top = max(top, s, t)
+
+    if not edges:
+        raise GraphError("no edges in input")
+    n = top + 1
+    if declared is not None:
+        if declared < n:
+            raise GraphError(f"%nodes {declared} is smaller than the ids used "
+                             f"(max id {n - 1})")
+        n = declared
+    return build(n, edges, directed=directed)

@@ -3,8 +3,10 @@ line-numbered rejection of malformed input."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import walkparadox as wp
 from walkparadox import GraphError, format_edge_list, parse_edge_list
@@ -65,6 +67,9 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("0 1\n2 2\n")
     with pytest.raises(GraphError, match=r"line 3: duplicate edge \(1, 0\), first at line 1"):
         parse_edge_list("0 1\n1 2\n1 0\n")
+    # one-based input names the ids as written
+    with pytest.raises(GraphError, match=r"line 3: duplicate edge \(2, 1\), first at line 2"):
+        parse_edge_list("%one-based\n1 2\n2 1\n")
     with pytest.raises(GraphError, match="line 2: duplicate edge"):  # first faulty line
         parse_edge_list("0 1\n0 1\n2 2\n")
     with pytest.raises(GraphError, match="line 2: directives must precede"):
@@ -104,6 +109,8 @@ def test_nodes_directive_keeps_trailing_isolates():
         parse_edge_list("%nodes 2\n0 2\n")
     with pytest.raises(GraphError, match="needs one integer"):
         parse_edge_list("%nodes many\n0 1\n")
+    with pytest.raises(GraphError, match="line 1: %nodes needs one integer"):
+        parse_edge_list("%nodes \u00b2\n0 1\n")  # a digit, but not a decimal one
 
 
 def test_duplicate_detection_respects_direction():
@@ -125,6 +132,90 @@ def test_format_one_based_and_comments():
     text = format_edge_list(wp.path(3), one_based=True, comments=("tiny path",))
     assert text == "# tiny path\n%one-based\n1 2\n2 3\n"
     assert parse_edge_list(text) == wp.path(3)
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x85", "\u2028"],
+                         ids=["lf", "cr", "crlf", "nel", "line-separator"])
+def test_multi_line_comments_round_trip(sep):
+    text = format_edge_list(wp.path(3), comments=(f"first{sep}second", ""))
+    assert text == "# first\n# second\n# \n0 1\n1 2\n"
+    assert parse_edge_list(text) == wp.path(3)
+
+
+# Differential test against the line-by-line reference parser.  Each
+# text is a formatted graph with its edge lines shuffled, some flipped,
+# and comments, blank lines and up to three faulty lines put in anywhere,
+# so the graph, or the first error with its line number, must agree.
+_ODD_IDS = st.sampled_from(["-1", "-7", "9", "x", "1.5", "0x1", "1_0", "\u0663",
+                            str(2**63 - 1), str(2**63), str(2**64 + 3), str(-2**63 - 1)])
+_IDS = st.one_of(st.integers(0, 7).map(str), _ODD_IDS)
+_WEIGHTS = st.lists(st.sampled_from(["1", "2.5", "0", "-1", "-0.0", "nan", "inf", "-inf",
+                                     "1e400", "heavy"]), max_size=1)
+_DIRECTIVES = st.sampled_from(["%directed", "%one-based", "%nodes 9", "%nodes 3", "%nodes x",
+                               "%nodes \u00b2", "%loops", "  % Directed  # why"])
+_FILLER = st.sampled_from(["# header", "", "   ", "\t# indented"])
+
+
+@st.composite
+def edge_list_texts(draw):
+    g = draw(graphs(max_n=7, weighted=draw(st.booleans())))
+    lines = format_edge_list(g, one_based=draw(st.booleans())).splitlines()
+    lead = [line for line in lines if line.startswith("%")]
+    body = [line.split() for line in lines if not line.startswith("%")]
+    if not g.directed:
+        body = [[b, a, *w] if draw(st.booleans()) else [a, b, *w] for a, b, *w in body]
+    body = [" ".join(fields) for fields in draw(st.permutations(body))]
+    faulty = st.one_of(
+        st.builds(lambda ids, w: " ".join(ids + w), st.lists(_IDS, min_size=2, max_size=2),
+                  _WEIGHTS),
+        st.lists(_IDS, min_size=1, max_size=4).map(" ".join),  # any field count
+        st.sampled_from(body).map(lambda line: " ".join(line.split()[1::-1])),  # repeat
+        st.sampled_from(body), _DIRECTIVES)
+    for extra in draw(st.lists(st.one_of(_FILLER, faulty), max_size=4)):
+        body.insert(draw(st.integers(0, len(body))), extra)
+    lead += draw(st.lists(st.one_of(_DIRECTIVES, _FILLER), max_size=2))
+    sep = draw(st.sampled_from(["\n", "\r\n"]))
+    return sep.join(draw(st.permutations(lead)) + body) + draw(st.sampled_from(["", sep]))
+
+
+def outcome(parse, text, one_based):
+    try:
+        return parse(text, one_based=one_based)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+@given(edge_list_texts(), st.booleans())
+@example("", False)
+@example("%one-based\n1 2\n2 1\n", False)
+@example("0 1\n1 0 -1\n2 2\n", False)
+@example(f"0 {2**64}\n{2**64} 0\n", False)
+@example(f"%nodes 3\n0 {2**63}\n", True)
+@settings(max_examples=400, deadline=None)
+def test_parser_agrees_with_line_by_line_reference(text, one_based):
+    assert outcome(parse_edge_list, text, one_based) == outcome(oracle.parse_edge_list, text,
+                                                                 one_based)
+
+
+def random_digraph(n, arcs_per_node, seed):
+    """A weighted directed graph with numpy-drawn arcs (self-loops and
+    repeats dropped)."""
+    rng = np.random.default_rng(seed)
+    src, dst = rng.integers(0, n, (2, arcs_per_node * n))
+    keys = np.unique(src[src != dst] * n + dst[src != dst])
+    weights = rng.uniform(0.5, 2.0, keys.size)
+    return wp.build(n, zip((keys // n).tolist(), (keys % n).tolist(), weights.tolist()),
+                    directed=True)
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda: wp.barabasi_albert(10**4, 3, seed=1),
+    lambda: random_digraph(10**4, 5, seed=3),
+], ids=["barabasi-albert", "weighted-digraph"])
+def test_large_graphs_round_trip(make_graph):
+    g = make_graph()
+    assert parse_edge_list(format_edge_list(g)) == g
+    assert parse_edge_list(format_edge_list(g, one_based=True)) == g
 
 
 @given(graphs(max_n=8, weighted=False))

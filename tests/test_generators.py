@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import walkparadox as wp
-from walkparadox import FamilySpec, GraphError, ParameterError, make, make_connected
+from walkparadox import (FamilySpec, GraphError, ParameterError, generators, make,
+                         make_connected)
 
 import _oracles as oracle
 
@@ -180,6 +181,38 @@ def test_enumerate_connected_counts():
     assert per_n == {2: 1, 3: 4, 4: 38, 5: 728}
     assert [(g.n, g.edges()) for g in wp.enumerate_connected(5)] == [
         (g.n, g.edges()) for g in oracle.connected_graphs(5)]
+
+
+# one spec per family: the generators skip build's per-edge checks, so
+# each must assemble exactly the graph build makes of its edges
+_EVERY_FAMILY = [
+    FamilySpec("figure1"), FamilySpec("path", n=6), FamilySpec("cycle", n=5),
+    FamilySpec("complete", n=5), FamilySpec("star_undirected", n=6),
+    FamilySpec("star_out", n=6), FamilySpec("star_in", n=6), FamilySpec("hub_cycle", n=7),
+    FamilySpec("three_node"), FamilySpec("directed_cycle", n=5),
+    FamilySpec("k_regular_random", n=8, k=3, seed=2),
+    FamilySpec("erdos_renyi", n=9, p=0.4, seed=1),
+    FamilySpec("erdos_renyi_directed", n=7, p=0.3, seed=4),
+    FamilySpec("barabasi_albert", n=40, m=3, seed=5),
+]
+
+
+def test_every_family_has_an_assembly_case():
+    assert sorted(spec.family for spec in _EVERY_FAMILY) == sorted(generators._FAMILIES)
+
+
+@pytest.mark.parametrize("spec", _EVERY_FAMILY, ids=lambda spec: spec.family)
+def test_families_assemble_what_build_validates(spec):
+    g = make(spec)
+    wp.validate_graph(g)
+    assert type(g.n) is int
+    assert g == wp.build(g.n, g.edges(), directed=g.directed)
+
+
+def test_enumerated_graphs_assemble_what_build_validates():
+    for g in wp.enumerate_connected(4):
+        wp.validate_graph(g)
+        assert g == wp.build(g.n, g.edges())
 
 
 def test_connected_mask_blocks():
