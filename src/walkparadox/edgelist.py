@@ -61,23 +61,19 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
     shift = 1 if one_based else 0
     codes, floor, top = _codes(ids, shift)
     s, t = codes[:m], codes[m:]
-    w = np.ones(m)
-    bad_weight = None
     three = fields == 3
-    if three.any():
-        w[three], unread_w = _read(weights, float, 1.0)
-        if unread_w is not None:
-            bad_weight = np.zeros(m, dtype=bool)
-            bad_weight[three] = unread_w
+    w = np.ones(m)
+    bad_weight = np.zeros(m, dtype=bool)
+    w[three], bad_weight[three] = _read(weights, float, 1.0)
     faults = [
-        # a stray directive is never an integer id, so only then can one be there
-        None if unread is None else np.array([h[0] == "%" for h in heads]),
+        # a stray directive never reads as an id, so only then can one be there
+        np.array([h[0] == "%" for h in heads]) if unread.any() else unread[:m],
         (fields < 2) | (fields > 3),
-        None if unread is None else unread.reshape(2, m).any(axis=0),
+        unread[:m] | unread[m:],
         bad_weight,
         (s < floor) | (t < floor),
         s == t,
-        None,  # duplicates: the assembly's sort finds them
+        np.zeros(m, dtype=bool),  # duplicates: the assembly's sort finds them
         w <= 0,
         ~np.isfinite(w),
     ]
@@ -86,7 +82,7 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
         """Raise the error of the first faulty line, if there is one."""
         lo, hi = (s, t) if directed else (np.minimum(s, t), np.maximum(s, t))
         faults[_DUPLICATE], earlier = _repeats(lo, hi)
-        table = np.array([np.broadcast_to(False if f is None else f, m) for f in faults])
+        table = np.array(faults)
         faulty = table.any(axis=0)
         if faulty.any():
             i = int(np.argmax(faulty))
@@ -95,7 +91,7 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
                 n=at[i] + 1, raw=lines[at[i]], low=low, s=ids[i], t=ids[m + i],
                 first=at[earlier[i]] + 1))
 
-    if any(f is not None and f.any() for f in faults):
+    if np.any(faults):
         refuse()
     n = top - shift + 1
     try:
@@ -161,9 +157,9 @@ def _columns(tokens: list, fields: np.ndarray):
 
 def _read(tokens: list, kind, blank):
     """Each token read by ``kind``, and a mask of the tokens it cannot
-    read, which count as ``blank`` (None when every token reads)."""
+    read, which count as ``blank``."""
     try:
-        return list(map(kind, tokens)), None
+        return list(map(kind, tokens)), np.zeros(len(tokens), dtype=bool)
     except ValueError:
         values, unread = [], []
         for tok in tokens:
@@ -194,15 +190,10 @@ def _codes(ids: list, floor: int):
 def _repeats(lo: np.ndarray, hi: np.ndarray):
     """Whether each (lo, hi) pair occurs at an earlier position, and the
     first position holding it."""
-    order = np.lexsort((hi, lo))  # stable: equal pairs keep their order
-    lo, hi = lo[order], hi[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    repeat = np.empty_like(new)
-    repeat[order] = ~new
-    first = np.empty_like(order)
-    first[order] = order[np.maximum.accumulate(np.where(new, np.arange(order.size), 0))]
-    return repeat, first
+    _, first, inverse = np.unique(np.stack((lo, hi), axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    first = first[inverse.ravel()]
+    return first != np.arange(lo.size), first
 
 
 def format_edge_list(g: Graph, one_based: bool = False, comments=()) -> str:

