@@ -191,6 +191,7 @@ def outcome(parse, text, one_based):
 @example("0 1\n1 0 -1\n2 2\n", False)
 @example(f"0 {2**64}\n{2**64} 0\n", False)
 @example(f"%nodes 3\n0 {2**63}\n", True)
+@example(f"0 {2**63}\n0 1\n", False)
 @settings(max_examples=400, deadline=None)
 def test_parser_agrees_with_line_by_line_reference(text, one_based):
     assert outcome(parse_edge_list, text, one_based) == outcome(oracle.parse_edge_list, text,
