@@ -101,8 +101,8 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
                                  f"(max id {n - 1})")
             n = declared
         g = _assemble(n, directed, s - shift, t - shift, w)
-    except GraphError:
-        refuse()  # a duplicate line is named before the node count
+    except (GraphError, MemoryError):
+        refuse()  # a duplicate line is named before the node count or its arrays
         raise
     if np.any((g.indices[1:] == g.indices[:-1]) & (g.rows[1:] == g.rows[:-1])):
         refuse()

@@ -98,6 +98,22 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("# nothing here\n")
 
 
+def test_duplicate_is_named_before_an_unallocatable_node_count(monkeypatch):
+    # %nodes 10**12 passes the int64 cap but its 8 TB indptr does not fit
+    # in memory; the assembly's MemoryError is stood in for, so the test
+    # never asks for the allocation
+    def assemble(n, *arrays):
+        raise MemoryError(f"cannot allocate {n + 1} index entries")
+
+    monkeypatch.setattr(wp.edgelist, "_assemble", assemble)
+    with pytest.raises(GraphError, match=r"line 3: duplicate edge \(0, 1\), first at line 2"):
+        parse_edge_list("%nodes 1000000000000\n0 1\n0 1\n")
+    with pytest.raises(GraphError, match=r"line 2: duplicate edge \(0, 1000000000000\)"):
+        parse_edge_list("0 1000000000000\n0 1000000000000\n")
+    with pytest.raises(MemoryError):
+        parse_edge_list("%nodes 1000000000000\n0 1\n")
+
+
 def test_nodes_directive_keeps_trailing_isolates():
     g = parse_edge_list("%nodes 5\n0 1\n")
     assert g.n == 5 and g.edge_count == 1

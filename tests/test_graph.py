@@ -44,8 +44,7 @@ def test_build_rejects_malformed_edges():
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_two_key_sort_assembles_the_same_graph(monkeypatch, directed):
-    # past n * n < 2^63, and below a hundred arcs, the arcs sort on
-    # (source, target) as two keys
+    # once n * n passes 2^63 the arcs sort on (source, target) as two keys
     rng = np.random.default_rng(5)
     pairs = {(int(s), int(t)) for s, t in rng.integers(0, 300, (1500, 2)) if s != t}
     if not directed:
