@@ -145,9 +145,6 @@ def _columns(tokens: list, fields: np.ndarray):
     list and each line's field count, and the weight token of each line
     with three fields.  A line with one field gives it as its target too;
     its field count alone refuses it."""
-    k = int(fields[0])
-    if 2 <= k <= 3 and (fields == k).all():  # one width: each column is a slice
-        return tokens[0::k], tokens[1::k], tokens[2::k] if k == 3 else []
     first = np.cumsum(fields) - fields
     take = tokens.__getitem__
     return (list(map(take, first.tolist())),

@@ -46,12 +46,6 @@ __all__ = [
 # Largest node count whose int64 indptr (n + 1 entries) numpy can size.
 _MAX_NODES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 1
 
-# Arcs sort on the one int64 key source * n + target while n * n fits,
-# and on two keys otherwise.  On one core of a 2-vCPU x86_64 host the
-# 299,982 arcs of barabasi_albert(50_000, 3) in parse order took 6.3 ms
-# on the one key against 40.7 ms with lexsort.
-_SORT_KEY_N = math.isqrt(np.iinfo(np.int64).max)
-
 # Relative spread below which weighted degrees count as equal.
 _REGULAR_RTOL = 1e-12
 
@@ -257,10 +251,7 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
     if not directed:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         wts = np.concatenate((wts, wts))
-    if n <= _SORT_KEY_N:
-        order = np.argsort(src * n + dst)
-    else:
-        order = np.lexsort((dst, src))
+    order = np.lexsort((dst, src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, directed, indptr, dst[order], wts[order])

@@ -42,20 +42,6 @@ def test_build_rejects_malformed_edges():
         wp.build(2**63 + 1, [(0, 2**63)])
 
 
-@pytest.mark.parametrize("directed", [False, True])
-def test_two_key_sort_assembles_the_same_graph(monkeypatch, directed):
-    # once n * n passes 2^63 the arcs sort on (source, target) as two keys
-    rng = np.random.default_rng(5)
-    pairs = {(int(s), int(t)) for s, t in rng.integers(0, 300, (1500, 2)) if s != t}
-    if not directed:
-        pairs = {(min(p), max(p)) for p in pairs}
-    edges = [(s, t, 1.0 + (s * t) % 7) for s, t in sorted(pairs, key=lambda p: (p[1], -p[0]))]
-    one_key = wp.build(300, edges, directed=directed)
-    monkeypatch.setattr(wp.graph, "_SORT_KEY_N", 299)
-    assert wp.build(300, edges, directed=directed) == one_key
-    validate_graph(one_key)
-
-
 def test_build_rejects_duplicates_in_any_orientation():
     with pytest.raises(GraphError, match="duplicate"):
         wp.build(3, [(0, 1), (1, 0)])
