@@ -227,7 +227,7 @@ def exhaustive_lagarias_search(max_n: int, r: int, s: int) -> SearchOutcome:
     come in int64 for whole blocks of edge masks at once, and only a
     graph with negative slack is built and checked with check_lagarias
     for its record.  Past that bound every graph is checked with
-    check_lagarias, which walks in exact Python ints, so the first graph
+    check_lagarias, whose walk totals are exact integers, so the first graph
     whose totals leave the float range raises its ParameterError.
     """
     _check_odd_order(r, s)

@@ -122,13 +122,6 @@ class Graph:
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
 
     @cached_property
-    def out_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Out-neighbour ids per node as plain ints, for exact arithmetic."""
-        idx = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return tuple(tuple(idx[ptr[i]:ptr[i + 1]]) for i in range(self.n))
-
-    @cached_property
     def _walk_passes(self) -> dict:
         """A^k 1 passes that spectral._walk_sums alone keeps, by mixed flag."""
         return {}
@@ -242,9 +235,9 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
               wts: np.ndarray) -> Graph:
     """The one CSR assembly: edges (source, target, weight) as int64 and
     float64 arrays, mirrored when undirected and sorted row-major.
-    Refuses only a node count past ``_MAX_NODES``, before it reads an
-    array; the caller vouches for the edges.  Duplicate edges come out as
-    equal adjacent arcs in a row.
+    Refuses only a node count past ``_MAX_NODES`` (before it reads an
+    array) or past memory; the caller vouches for the edges.  Duplicate
+    edges come out as equal adjacent arcs in a row.
     """
     if n > _MAX_NODES:
         raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
@@ -252,8 +245,11 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         wts = np.concatenate((wts, wts))
     order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    try:
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    except MemoryError:
+        raise GraphError(f"node count {n} needs index arrays larger than memory") from None
     return Graph(n, directed, indptr, dst[order], wts[order])
 
 
@@ -290,29 +286,27 @@ def int_out_degrees(g: Graph) -> list[int]:
     return np.diff(g.indptr).tolist()
 
 
-def _reaches_all(n: int, *adjacency: Sequence[Sequence[int]]) -> bool:
-    """Whether node 0 reaches every node along the union of the adjacencies."""
-    seen = bytearray(n)
+def _reaches_all(*graphs: Graph) -> bool:
+    """Whether node 0 reaches every node along the union of the graphs' arcs."""
+    arcs = [(g.indptr.tolist(), g.indices.tolist()) for g in graphs]
+    seen = bytearray(graphs[0].n)
     seen[0] = 1
     stack = [0]
-    count = 1
     while stack:
         node = stack.pop()
-        for lists in adjacency:
-            for nbr in lists[node]:
+        for ptr, idx in arcs:
+            for nbr in idx[ptr[node]:ptr[node + 1]]:
                 if not seen[nbr]:
                     seen[nbr] = 1
-                    count += 1
                     stack.append(nbr)
-    return count == n
+    return 0 not in seen
 
 
 def is_connected(g: Graph) -> bool:
     """Connectivity of the underlying undirected structure, kept on g."""
     kept = g._reach
     if "weak" not in kept:
-        lists = (g.out_lists,) if not g.directed else (g.out_lists, g.reverse.out_lists)
-        kept["weak"] = _reaches_all(g.n, *lists)
+        kept["weak"] = _reaches_all(g, g.reverse) if g.directed else _reaches_all(g)
     return kept["weak"]
 
 
@@ -322,8 +316,7 @@ def is_strongly_connected(g: Graph) -> bool:
         return is_connected(g)
     kept = g._reach
     if "strong" not in kept:
-        kept["strong"] = (_reaches_all(g.n, g.out_lists)
-                          and _reaches_all(g.n, g.reverse.out_lists))
+        kept["strong"] = _reaches_all(g) and _reaches_all(g.reverse)
     return kept["strong"]
 
 

@@ -35,8 +35,9 @@ Conventions fixed by this module:
   matrix-vector products.  A whole grid of undirected Katz sums
   1^T (I - alpha A)^{-1} 1 comes from one Lanczos run instead, as a
   Gauss rule bracketed by its Gauss-Radau twin (_resolvent_rule).
-* Walk totals on unweighted graphs use Python integers, so they are
-  exact at any order; weighted graphs fall back to float sums.  Totals
+* Every product is one _matvec.  Walk totals on unweighted graphs are
+  exact at any order, in int64 while a proven bound keeps every sum
+  below 2^63 and in Python ints past it; weighted graphs use floats.  Totals
   w_k = 1^T A^k 1 and mixed sums 1^T A^T A^k 1 = (A 1).(A^k 1) share one
   A^k 1 loop, which is kept on the graph and extended on demand: every
   order up to K costs K products in all, however the orders are asked.
@@ -50,7 +51,6 @@ import contextlib
 import math
 import numbers
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -130,8 +130,12 @@ def _check_max_iter(max_iter) -> None:
 
 
 def _matvec(g: Graph, x: np.ndarray) -> np.ndarray:
-    """A @ x over the stored arcs."""
-    return np.bincount(g.rows, weights=g.weights * x[g.indices], minlength=g.n)
+    """A @ x over the stored arcs in the dtype of x, adding each arc into
+    its row in arc order: float64 keeps the bits of a weighted bincount
+    (x 1.0 is skipped), int64 and object (Python-int) vectors stay exact."""
+    out = np.zeros(g.n, dtype=x.dtype)
+    np.add.at(out, g.rows, x[g.indices] if g.unweighted else g.weights * x[g.indices])
+    return out
 
 
 def apply(g: Graph, v) -> NodeVector:
@@ -652,7 +656,8 @@ def even_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     return _taylor_action(g, beta, tol, 0, f"even[beta={beta:.6g}]")
 
 
-def _finite_total(total: float) -> float:
+def _finite_total(total) -> float:
+    total = float(total)
     if not math.isfinite(total):
         raise ParameterError("walk count overflow: weighted totals left float range")
     return total
@@ -669,37 +674,37 @@ def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
     the totals w_1..w_{kmax+1} of the plain pass, and no mixed pass is
     formed.
 
-    Exact Python integers on unweighted graphs (arbitrary precision, so
-    no overflow is possible); floats on weighted graphs, where overflow
-    warnings are silenced and sums that leave the finite range are
-    rejected.
+    Every step is one _matvec.  Unweighted graphs walk in int64, then in
+    Python ints before a step could overflow, so their totals are exact
+    ints; weighted graphs walk in floats, where overflow warnings are
+    silenced and sums that leave the finite range are rejected.
     """
     if kmax < 0:
         raise ParameterError("walk order must be nonnegative")
     if mixed and not g.directed:
         totals = _walk_sums(g, kmax + 1)[0]
         return totals[:-1], totals[1:]
-    if g.unweighted:
-        lists = g.out_lists
-        x, quiet = [1] * g.n, contextlib.nullcontext()
-        step = lambda x: [sum(x[j] for j in nbrs) for nbrs in lists]
-        total, dot = sum, lambda d, x: sum(map(mul, d, x))
-    else:
-        x, quiet = np.ones(g.n), np.errstate(over="ignore")
-        step = lambda x: _matvec(g, x)
-        total = lambda v: _finite_total(float(v.sum()))
-        dot = lambda d, v: _finite_total(float(d @ v))
+    total = int if g.unweighted else _finite_total
     passes = g._walk_passes
-    with quiet:
+    # np.errstate costs a few microseconds a call, which tiny graphs feel
+    with contextlib.nullcontext() if g.unweighted else np.errstate(over="ignore"):
         if mixed not in passes:
-            d = step(x) if mixed else None  # A 1, the out-degrees, and the first walk vector
-            passes[mixed] = ([g.n], [dot(d, x)] if mixed else None, x, d)
+            x = np.ones(g.n, dtype=np.int64 if g.unweighted else np.float64)
+            d = _matvec(g, x) if mixed else None  # A 1, the out-degrees, and the first walk vector
+            passes[mixed] = ([g.n], [total(d @ x)] if mixed else None, x, d)
         totals, sums, x, d = passes[mixed]
         while len(totals) <= kmax:
-            x = d if mixed and len(totals) == 1 else step(x)
-            t = total(x)
+            # For x >= 0, each entry of A x, the total 1^T A x =
+            # sum_j indeg_j x_j and the mixed sum (A 1).(A x) =
+            # sum_j x_j sum_{i->j} d_i are each at most arc_count * 1^T x,
+            # and every partial sum is nonnegative: int64 is exact while
+            # that bound is below 2^63, and Python ints past it (d @ x too).
+            if x.dtype == np.int64 and g.arc_count * totals[-1] >= 2**63:
+                x = x.astype(object)
+            x = d if mixed and len(totals) == 1 else _matvec(g, x)
+            t = total(x.sum())
             if mixed:
-                sums.append(dot(d, x))
+                sums.append(total(d @ x))
             totals.append(t)
             passes[mixed] = (totals, sums, x, d)
     return totals[:kmax + 1], None if sums is None else sums[:kmax + 1]

@@ -27,6 +27,12 @@ def dense_adjacency(g) -> np.ndarray:
     return a
 
 
+def matvec_bincount(g, x: np.ndarray) -> np.ndarray:
+    """Float64 A @ x as one weighted np.bincount over the arcs: each arc's
+    weight times x at its target, added into its row in arc order."""
+    return np.bincount(g.rows, weights=g.weights * x[g.indices], minlength=g.n)
+
+
 def int_adjacency(g) -> list[list[int]]:
     """Python-int adjacency rows (unweighted graphs only)."""
     assert g.unweighted

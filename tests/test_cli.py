@@ -244,8 +244,12 @@ def test_missing_file(capsys):
     b"%nodes 4611686018427387904\n0 1\n",
     "%nodes \u00b2\n0 1\n".encode(),
     b"%nodes " + b"9" * 5000 + b"\n0 1\n",
+    # 8 EiB of indptr: no 64-bit address space can hold it
+    b"%nodes 1152921504606846974\n0 1\n",
+    b"0 1152921504606846973\n",
 ], ids=["not-utf8", "node-id-past-int64", "node-count-past-int64", "node-count-past-numpy",
-        "node-count-superscript-digit", "node-count-past-int-digit-limit"])
+        "node-count-superscript-digit", "node-count-past-int-digit-limit",
+        "node-count-past-memory", "node-id-past-memory"])
 def test_malformed_edge_list_is_an_input_error(content, tmp_path, capsys):
     f = tmp_path / "g.edges"
     f.write_bytes(content)

@@ -197,7 +197,7 @@ def _weighted_figure1():
 
 
 def test_batteries_make_one_walk_pass(monkeypatch, capsys):
-    # on a weighted graph every walk step is one _matvec, so the products
+    # every walk step is one _matvec, exact or float, so the products
     # counted here are the A x products the batteries pay
     import io
     import sys
@@ -219,18 +219,19 @@ def test_batteries_make_one_walk_pass(monkeypatch, capsys):
         call(*args)
         return len(products)
 
-    g = _weighted_figure1()
-    # orders asked one at a time step on from the kept pass: 5 products,
-    # where a pass per call would take 2 + 3 + 4 + 5 = 14
-    assert cost(lambda: [wp.check_walk_growth(g, k) for k in range(1, 5)]) == 5
-    assert cost(wp.lagarias_scan, _weighted_figure1(), 8) == 8
-    edges = "".join(f"{i} {j} 1.5\n" for i, j, _ in g.edges())
-    # on an undirected graph the mixed sums are w_2..w_9 of the plain
-    # pass, so --mixed adds no product
-    for extra, expected in (([], 9), (["--mixed"], 9)):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(edges))
-        argv = ["conditions", "--graph", "-", "--max-k", "8", *extra]
-        assert cost(lambda: cli.run(argv) == 0 or pytest.fail(argv)) == expected
+    for make in (_weighted_figure1, wp.figure1):
+        g = make()
+        # orders asked one at a time step on from the kept pass: 5 products,
+        # where a pass per call would take 2 + 3 + 4 + 5 = 14
+        assert cost(lambda: [wp.check_walk_growth(g, k) for k in range(1, 5)]) == 5
+        assert cost(wp.lagarias_scan, make(), 8) == 8
+        edges = wp.format_edge_list(g)
+        # on an undirected graph the mixed sums are w_2..w_9 of the plain
+        # pass, so --mixed adds no product
+        for extra, expected in (([], 9), (["--mixed"], 9)):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(edges))
+            argv = ["conditions", "--graph", "-", "--max-k", "8", *extra]
+            assert cost(lambda: cli.run(argv) == 0 or pytest.fail(argv)) == expected
     capsys.readouterr()
 
 

@@ -62,7 +62,7 @@ def test_one_based_flag_and_directive():
         parse_edge_list("0 1\n", one_based=True)
 
 
-def test_parse_errors_carry_line_numbers(monkeypatch):
+def test_parse_errors_carry_line_numbers():
     with pytest.raises(GraphError, match="self-loop at line 2"):
         parse_edge_list("0 1\n2 2\n")
     with pytest.raises(GraphError, match=r"line 3: duplicate edge \(1, 0\), first at line 1"):
@@ -97,16 +97,13 @@ def test_parse_errors_carry_line_numbers(monkeypatch):
     with pytest.raises(GraphError, match="no edges"):
         parse_edge_list("# nothing here\n")
     # a duplicate is named before a node count whose arrays cannot be
-    # allocated (%nodes 10**12 asks for 8 TB); the MemoryError is stood in
-    # for, so the test never asks for the memory
-    def assemble(n, *arrays):
-        raise MemoryError(f"cannot allocate {n + 1} index entries")
-
-    monkeypatch.setattr(wp.edgelist, "_assemble", assemble)
+    # allocated: 2^60 - 2 nodes ask for 8 EiB, past any 64-bit address space
+    with pytest.raises(GraphError, match="node count 1152921504606846974 needs index arrays"):
+        parse_edge_list("%nodes 1152921504606846974\n0 1\n")
     with pytest.raises(GraphError, match=r"line 3: duplicate edge \(0, 1\), first at line 2"):
-        parse_edge_list("%nodes 1000000000000\n0 1\n0 1\n")
-    with pytest.raises(GraphError, match=r"line 2: duplicate edge \(0, 1000000000000\)"):
-        parse_edge_list("0 1000000000000\n0 1000000000000\n")
+        parse_edge_list("%nodes 1152921504606846974\n0 1\n0 1\n")
+    with pytest.raises(GraphError, match=r"line 2: duplicate edge \(0, 1152921504606846973\)"):
+        parse_edge_list("0 1152921504606846973\n0 1152921504606846973\n")
 
 
 def test_nodes_directive_keeps_trailing_isolates():

@@ -40,6 +40,9 @@ def test_build_rejects_malformed_edges():
         wp.build(2**63, [(0, 1)])
     with pytest.raises(GraphError, match="int64"):
         wp.build(2**63 + 1, [(0, 2**63)])
+    # fits int64, but its 4 EiB of indptr fit no 64-bit address space
+    with pytest.raises(GraphError, match=f"node count {2**59} needs index arrays"):
+        wp.build(2**59, [(0, 1)])
 
 
 def test_build_rejects_duplicates_in_any_orientation():

@@ -3,7 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import walkparadox as wp
@@ -26,6 +26,28 @@ def test_apply_matches_dense(g):
     assert np.allclose(wp.apply(g, x).values, a @ x, rtol=1e-13, atol=1e-13)
     assert np.allclose(wp.apply(wp.transpose(g), x).values, a.T @ x,
                        rtol=1e-13, atol=1e-13)
+
+
+def _weighted_ba():
+    g = wp.barabasi_albert(10**4, 3, seed=1)
+    return wp.build(g.n, [(i, j, 0.5 + (i * j) % 7 / 3) for i, j, _ in g.edges()])
+
+
+@given(st.one_of(graphs(max_n=9), graphs(max_n=9, weighted=True)), st.data())
+@settings(max_examples=120)
+@example(wp.star_out(5), None)  # sink rows hold no arcs
+@example(wp.build(7, [(0, 1, 2.5), (1, 2, 0.25), (2, 0, 3.0), (3, 4, 1.5)], directed=True), None)
+@example(wp.build(7, [(0, 1), (1, 2), (2, 0), (3, 4)], directed=True), None)
+@example(_weighted_ba(), None)
+def test_matvec_matches_bincount_bit_for_bit(g, data):
+    # the one product kernel adds each arc into its row in arc order, as
+    # np.bincount does, so every float product keeps its bits
+    if data is None:
+        x = np.random.default_rng(g.n).uniform(-1e3, 1e3, g.n)
+    else:
+        x = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=g.n, max_size=g.n),
+                               label="x"), dtype=float)
+    assert spectral._matvec(g, x).tobytes() == oracle.matvec_bincount(g, x).tobytes()
 
 
 def test_apply_rejects_wrong_length():
@@ -626,10 +648,18 @@ def _refusal(call):
 
 
 def test_large_int_walk_counts_stay_exact():
-    # 60 steps on K60: counts ~ 59^60, far beyond float precision
+    # 60 steps on K60: counts ~ 59^60, far beyond float precision; the
+    # walk leaves int64 for Python ints near k = 8, so every order counts
     g = wp.complete(60)
     counts = wp.walk_counts_through(g, 60)
-    assert counts[60] == 60 * 59**60
+    assert counts == [60 * 59**k for k in range(61)]
+    assert all(type(c) is int for c in counts)
+    # an irregular digraph whose mixed sums pass 2^63 at k = 16
+    d = wp.build(16, [(i, j) for i in range(16) for j in range(16)
+                      if i != j and (i * j + i + j) % 5], directed=True)
+    sums = [wp.mixed_walk_count(d, k) for k in range(25)]
+    assert sums == [oracle.mixed_total_int(d, k) for k in range(25)]
+    assert all(type(s) is int for s in sums) and sums[0] < 2**63 < sums[-1]
 
 
 @pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
