@@ -53,21 +53,32 @@ class ConditionReport:
     details: dict | None = None
 
 
-def _verdict(lhs, rhs, exact: bool) -> bool:
-    slack = lhs - rhs
+def _verdict(slack, lhs, rhs, exact: bool) -> bool:
+    """lhs >= rhs: the sign of the exact slack's numerator, or the float
+    slack within 1e-9 relative."""
     if exact:
         return slack >= 0
     return slack >= -_REL_TOL * max(1.0, abs(lhs), abs(rhs))
 
 
-def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> ConditionReport:
-    slack = lhs - rhs
-    holds = _verdict(lhs, rhs, exact_mode)
-    # exact totals can outgrow a float, and a weighted w_k * w_1 can
-    # overflow while both factors are finite
+def _report(cid, lhs, rhs, guaranteed, g, details=None) -> ConditionReport:
+    """The report of lhs >= rhs, given as (numerator, denominator) int
+    pairs when exact, else as floats."""
+    exact = isinstance(lhs, tuple)
     try:
-        values = float(lhs), float(rhs), float(slack)
+        if exact:
+            (ln, ld), (rn, rd) = lhs, rhs
+            num, den = ln * rd - rn * ld, ld * rd
+            holds = _verdict(num, lhs, rhs, True)
+            # int / int rounds correctly, as float() of each Fraction would
+            values = ln / ld, rn / rd, num / den
+        else:
+            slack = lhs - rhs
+            holds = _verdict(slack, lhs, rhs, False)
+            values = float(lhs), float(rhs), float(slack)
     except OverflowError:
+        # exact totals can outgrow a float, and a weighted w_k * w_1 can
+        # overflow while both factors are finite
         values = (math.inf,)
     if not all(map(math.isfinite, values)):
         raise ParameterError(f"{cid}: walk totals exceed the float range of a report")
@@ -76,9 +87,6 @@ def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> Condition
         raise TheoremViolationError.on(
             f"theorem-guaranteed condition {cid} failed with slack {slack_f!r}",
             g, lhs=lhs_f, rhs=rhs_f)
-    exact = None
-    if exact_mode:
-        exact = {"lhs": Fraction(lhs), "rhs": Fraction(rhs), "slack": Fraction(slack)}
     return ConditionReport(
         condition_id=cid,
         lhs=lhs_f,
@@ -86,7 +94,8 @@ def _report(cid, lhs, rhs, exact_mode, guaranteed, g, details=None) -> Condition
         slack=slack_f,
         holds=holds,
         guaranteed=guaranteed,
-        exact=exact,
+        exact={"lhs": Fraction(ln, ld), "rhs": Fraction(rn, rd),
+               "slack": Fraction(num, den)} if exact else None,
         details=details,
     )
 
@@ -99,11 +108,15 @@ def _growth_check(g: Graph, k: int, mixed: bool) -> ConditionReport:
         raise ParameterError("order k must be >= 1")
     exact = g.unweighted
     w, m = _walk_sums(g, k + (not mixed), mixed)
-    rhs = Fraction(w[k] * w[1], g.n) if exact else w[k] * w[1] / g.n
+    lhs = m[k] if mixed else w[k + 1]
+    if exact:
+        lhs, rhs = (lhs, 1), (w[k] * w[1], g.n)
+    else:
+        rhs = w[k] * w[1] / g.n
     if mixed:
         guaranteed = k == 1 or (exact and not g.directed and k % 2 == 1)
-        return _report(f"mixed_walk_growth(k={k})", m[k], rhs, exact, guaranteed, g)
-    return _report(f"walk_growth(k={k})", w[k + 1], rhs, exact, exact and k % 2 == 1, g)
+        return _report(f"mixed_walk_growth(k={k})", lhs, rhs, guaranteed, g)
+    return _report(f"walk_growth(k={k})", lhs, rhs, exact and k % 2 == 1, g)
 
 
 def check_walk_growth(g: Graph, k: int) -> ConditionReport:
@@ -130,9 +143,10 @@ def check_lagarias(g: Graph, r: int, s: int) -> ConditionReport:
     if g.directed:
         raise GraphError("the walk product inequality applies to undirected graphs")
     w = walk_counts_through(g, r + s)
-    exact = g.unweighted
-    return _report(f"lagarias(r={r},s={s})", g.n * w[r + s], w[r] * w[s], exact,
-                   exact and (r + s) % 2 == 0, g)
+    lhs, rhs = g.n * w[r + s], w[r] * w[s]
+    if g.unweighted:
+        return _report(f"lagarias(r={r},s={s})", (lhs, 1), (rhs, 1), (r + s) % 2 == 0, g)
+    return _report(f"lagarias(r={r},s={s})", lhs, rhs, False, g)
 
 
 def check_mixed_walk_growth(g: Graph, k: int) -> ConditionReport:
@@ -171,7 +185,7 @@ def check_spectral_directed(g: Graph, side: str = "left") -> ConditionReport:
         "paradox_mode": mode,
         "paradox_gap": rep.gap,
     }
-    return _report(f"spectral_directed(side={side})", lhs, rhs, False, False, g, details)
+    return _report(f"spectral_directed(side={side})", lhs, rhs, False, g, details)
 
 
 def first_order_in_degree_term(g: Graph) -> float:

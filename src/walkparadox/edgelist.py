@@ -20,6 +20,7 @@ and within it of the first check it fails.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 
 import numpy as np
@@ -35,6 +36,8 @@ _FAULTS = (
     "line {n}: directives must precede all edges",
     "line {n}: expected 'source target [weight]', got {raw!r}",
     "line {n}: node ids must be integers: {raw!r}",
+    # the id itself is left out: str() refuses an int past the digit limit
+    "line {n}: node id too large: more than {limit} digits",
     "line {n}: bad weight: {raw!r}",
     "line {n}: {low}",
     "self-loop at line {n}",
@@ -42,7 +45,7 @@ _FAULTS = (
     "line {n}: nonpositive weight",
     "line {n}: non-finite weight",
 )
-_DUPLICATE = 6
+_DUPLICATE = 7
 
 
 def parse_edge_list(text: str, one_based: bool = False) -> Graph:
@@ -58,6 +61,9 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
     fields = counts[at]
     heads, tails, weights = _columns(" ".join(bare[start:]).split(), fields)
     ids, unread = _read(heads + tails, int, 0)
+    # digits that int() refuses only for their number
+    long = unread & [_digits(tok) for tok in heads + tails] if unread.any() else unread
+    bad = unread & ~long
     shift = 1 if one_based else 0
     codes, floor, top = _codes(ids, shift)
     s, t = codes[:m], codes[m:]
@@ -69,7 +75,8 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
         # a stray directive never reads as an id, so only then can one be there
         np.array([h[0] == "%" for h in heads]) if unread.any() else unread[:m],
         (fields < 2) | (fields > 3),
-        unread[:m] | unread[m:],
+        bad[:m] | bad[m:],
+        long[:m] | long[m:],
         bad_weight,
         (s < floor) | (t < floor),
         s == t,
@@ -89,7 +96,7 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
             low = "ids must be >= 1 in one-based input" if one_based else "negative node id"
             raise GraphError(_FAULTS[int(np.argmax(table[:, i]))].format(
                 n=at[i] + 1, raw=lines[at[i]], low=low, s=ids[i], t=ids[m + i],
-                first=at[earlier[i]] + 1))
+                first=at[earlier[i]] + 1, limit=sys.get_int_max_str_digits()))
 
     if np.any(faults):
         refuse()
@@ -167,6 +174,12 @@ def _read(tokens: list, kind, blank):
                 values.append(blank)
                 unread.append(True)
         return values, np.array(unread)
+
+
+def _digits(token: str) -> bool:
+    """Whether a token is ASCII digits after an optional sign."""
+    digits = token[1:] if token[0] in "+-" else token
+    return digits.isascii() and digits.isdigit()
 
 
 def _codes(ids: list, floor: int):

@@ -21,6 +21,7 @@ no edge is validated twice.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -67,7 +68,7 @@ class NodeVector:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1:
             raise GraphError("node vector must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise GraphError("node vector entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -109,7 +110,7 @@ class Graph:
 
     @cached_property
     def unweighted(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
+        return bool((self.weights == 1.0).all())
 
     @cached_property
     def total_weight(self) -> float:
@@ -120,6 +121,13 @@ class Graph:
     def rows(self) -> np.ndarray:
         """Arc source ids aligned with ``indices`` (for scatter kernels)."""
         return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+
+    @cached_property
+    def _out_degrees(self) -> np.ndarray:
+        """Row sums A 1 as a read-only float array, formed once."""
+        sums = np.bincount(self.rows, weights=self.weights, minlength=self.n)
+        sums.flags.writeable = False
+        return sums
 
     @cached_property
     def _walk_passes(self) -> dict:
@@ -136,6 +144,13 @@ class Graph:
         """EigenResults that spectral.dominant_eigenpair alone keeps, by
         (side, tol); refusals are never kept."""
         return {}
+
+    @cached_property
+    def _eigh(self) -> list:
+        """[(theta, U)], the one eigh of the dense symmetric A that
+        spectral alone takes and keeps on an undirected graph with
+        n <= 12; empty until then."""
+        return []
 
     @cached_property
     def reverse(self) -> "Graph":
@@ -190,7 +205,7 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         raise GraphError("node count must be a positive integer")
     n = int(n)
     if n > _MAX_NODES:  # before the loop: ids below such an n may not fit int64
-        raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
+        raise GraphError(f"node count {_decimal(n)} exceeds what int64 index arrays can hold")
 
     src: list[int] = []
     dst: list[int] = []
@@ -231,6 +246,14 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
                      np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64))
 
 
+def _decimal(n: int) -> str:
+    """n in decimal, or a bound on it where str() refuses its digit count."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"of more than {sys.get_int_max_str_digits()} digits"
+
+
 def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
               wts: np.ndarray) -> Graph:
     """The one CSR assembly: edges (source, target, weight) as int64 and
@@ -240,7 +263,7 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
     edges come out as equal adjacent arcs in a row.
     """
     if n > _MAX_NODES:
-        raise GraphError(f"node count {n} exceeds what int64 index arrays can hold")
+        raise GraphError(f"node count {_decimal(n)} exceeds what int64 index arrays can hold")
     if not directed:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         wts = np.concatenate((wts, wts))
@@ -253,10 +276,6 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
     return Graph(n, directed, indptr, dst[order], wts[order])
 
 
-def _row_sums(g: Graph) -> np.ndarray:
-    return np.bincount(g.rows, weights=g.weights, minlength=g.n)
-
-
 def degree_vector(g: Graph) -> NodeVector:
     """Weighted degrees of an undirected graph."""
     if g.directed:
@@ -264,12 +283,12 @@ def degree_vector(g: Graph) -> NodeVector:
             "degree_vector requires an undirected graph; "
             "use out_degree_vector or in_degree_vector"
         )
-    return NodeVector(_row_sums(g), "degree")
+    return NodeVector(g._out_degrees, "degree")
 
 
 def out_degree_vector(g: Graph) -> NodeVector:
     """Row sums A·1 (equals the plain degree on undirected graphs)."""
-    return NodeVector(_row_sums(g), "out-degree")
+    return NodeVector(g._out_degrees, "out-degree")
 
 
 def in_degree_vector(g: Graph) -> NodeVector:
@@ -278,12 +297,12 @@ def in_degree_vector(g: Graph) -> NodeVector:
     Computed as the row sums of the reversed graph so the value agrees
     bit for bit with out_degree_vector(transpose(g)).
     """
-    return NodeVector(_row_sums(g.reverse), "in-degree")
+    return NodeVector(g.reverse._out_degrees, "in-degree")
 
 
 def int_out_degrees(g: Graph) -> list[int]:
     """Arc counts per source; exact degrees when the graph is unweighted."""
-    return np.diff(g.indptr).tolist()
+    return (g.indptr[1:] - g.indptr[:-1]).tolist()
 
 
 def _reaches_all(*graphs: Graph) -> bool:
@@ -328,7 +347,7 @@ def is_regular(g: Graph, orientation: str = "undirected"):
     unweighted graph they are exact integers, and unequal ones differ by
     at least 1, so there the test is exact.
     """
-    sums = _row_sums(_oriented(g, orientation))
+    sums = _oriented(g, orientation)._out_degrees
     lo, hi = float(sums.min()), float(sums.max())
     if hi - lo <= _REGULAR_RTOL * hi:
         return True, float(sums.mean())

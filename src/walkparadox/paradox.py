@@ -4,15 +4,20 @@ between them.
 The inequality under test compares d.x/||d||_1 (the degree-weighted
 attribute mean, i.e. what an average incident edge sees) with
 ||x||_1/n (the plain node mean).  A nonnegative gap means the paradox
-holds for that attribute.  The same quantity equals Cov(d, x)/mean(d);
-both forms are computed independently here and must agree, exactly in
-rational arithmetic or to 1e-9 relative in floats, or the report is
-refused as an internal error.
+holds for that attribute.  The same quantity equals Cov(d, x)/mean(d),
+and the two forms must agree, or the report is refused as an internal
+error.  In floats they are computed from two routes to d.x and must
+agree to 1e-9 relative.
 
 Unweighted graphs with integer-valued attributes (degree measures, most
-importantly) take an exact path: every average in the report is a
-Fraction, so textbook values like 2 and 2.625 come out as the rationals
-16/8 and 42/16 rather than approximations.
+importantly) take an exact path on the integer sums n, sd = ||d||_1,
+sx = ||x||_1 and dx = d.x.  Both forms of the gap are (n dx - sd sx)
+over n sd, and they are compared as integer cross-products; the
+tolerance verdicts are integer comparisons too.  The report's exact
+fields are Fractions built from these integers, so textbook values like
+2 and 2.625 come out as the rationals 16/8 and 42/16 rather than
+approximations, and each float field is the correctly rounded quotient
+of the same integers.
 """
 
 from __future__ import annotations
@@ -103,18 +108,17 @@ def _check_attribute(g: Graph, x) -> np.ndarray:
     values = _values(x)
     if values.shape != (g.n,):
         raise GraphError(f"attribute length {values.shape} does not match n={g.n}")
-    if np.any(values < 0):
+    if (values < 0).any():
         raise ParameterError("attribute entries must be nonnegative")
     return values
 
 
 def _as_ints(values: np.ndarray) -> list[int] | None:
-    if np.any(np.abs(values) >= _INT_LIMIT):
+    """The entries of a nonempty nonnegative array as Python ints when
+    all are integers below 2^53, else None."""
+    if not (np.rint(values) == values).all() or values.max() >= _INT_LIMIT:
         return None
-    rounded = np.rint(values)
-    if not np.array_equal(rounded, values):
-        return None
-    return [int(v) for v in rounded]
+    return values.astype(np.int64).tolist()
 
 
 def _sampler(g: Graph, mode: str) -> Graph:
@@ -132,7 +136,7 @@ def _check_tol(tol: float) -> None:
 def node_average(x) -> float:
     """Plain mean of a nonnegative attribute."""
     values = _values(x)
-    if np.any(values < 0):
+    if (values < 0).any():
         raise ParameterError("attribute entries must be nonnegative")
     if values.shape[0] == 0:
         raise ParameterError("attribute must have at least one entry")
@@ -142,17 +146,18 @@ def node_average(x) -> float:
 def neighbour_average(g: Graph, x, mode: str = "undirected") -> float:
     """Degree-weighted mean d.x/||d||_1, with d chosen by mode."""
     values = _check_attribute(g, x)
-    d = out_degree_vector(_sampler(g, mode)).values
+    d = _sampler(g, mode)._out_degrees
     return float(d @ values) / float(d.sum())
 
 
 def _evaluate(g: Graph, x, mode: str, tol: float) -> tuple[ParadoxReport, float | Fraction]:
     """The report for attribute x, and Cov(d, x) over the node distribution.
 
-    The exact path (unweighted graph, integer-valued x) runs on integer
-    degree and attribute lists in Fraction arithmetic, and the
-    covariance form must equal the gap; otherwise floats on arrays, and
-    the two must agree to 1e-9 relative.
+    The exact path (unweighted graph, integer-valued x) works on integer
+    degree and attribute sums: the gap dx/sd - sx/n and the covariance
+    form Cov(d, x)/mean(d) are both (n dx - sd sx) over n sd, reached by
+    two routes and compared by cross-multiplication.  Otherwise floats on
+    arrays, and the two must agree to 1e-9 relative.
     """
     _check_tol(tol)
     values = _check_attribute(g, x)
@@ -162,46 +167,61 @@ def _evaluate(g: Graph, x, mode: str, tol: float) -> tuple[ParadoxReport, float 
     ints = _as_ints(values) if g.unweighted else None
     if ints is not None:
         d = int_out_degrees(sampler)
-        sd, sx = sum(d), sum(ints)
-        dx = dx_cov = sum(map(operator.mul, d, ints))
-        div, bound = Fraction, Fraction(tol)
-    else:
-        d = out_degree_vector(sampler).values
-        sd, sx = float(d.sum()), float(values.sum())
-        # Two routes to sum(d * x): the gap takes the dot product and the
-        # covariance the elementwise sum, so their agreement checks something.
-        dx, dx_cov = float(d @ values), float((d * values).sum())
-        div, bound = operator.truediv, tol
-    node_avg = div(sx, n)
-    neigh_avg = div(dx, sd)
+        sd, sx = g.arc_count, sum(ints)
+        dx = sum(map(operator.mul, d, ints))
+        # the gap dx/sd - sx/n over n sd, and the covariance form:
+        # n^2 Cov(d, x) = n dx - sd sx, over mean(d) = sd/n
+        num, den = dx * n - sx * sd, n * sd
+        cov = n * dx - sd * sx
+        if num * (n * n * sd) != cov * n * den:
+            raise TheoremViolationError.on(
+                f"gap {Fraction(num, den)} and covariance form "
+                f"{Fraction(cov * n, n * n * sd)} disagree", g,
+                mode=mode, measure=label, attribute=values.tolist())
+        tn, td = tol.as_integer_ratio()
+        gap = Fraction(num, den)
+        return ParadoxReport(
+            mode=mode,
+            measure_label=label,
+            node_average=sx / n,  # int / int rounds as float() of the Fraction would
+            neighbour_average=dx / sd,
+            gap=num / den,
+            covariance_form=num / den,
+            holds=num * td >= -tn * den,
+            equality=abs(num) * td <= tn * den,
+            tol=tol,
+            exact={
+                "node_average": Fraction(sx, n),
+                "neighbour_average": Fraction(dx, sd),
+                "gap": gap,
+                "covariance_form": gap,
+            },
+        ), Fraction(cov, n * n)
+    d = sampler._out_degrees
+    sd, sx = float(d.sum()), float(values.sum())
+    # Two routes to sum(d * x): the gap takes the dot product and the
+    # covariance the elementwise sum, so their agreement checks something.
+    dx, dx_cov = float(d @ values), float((d * values).sum())
+    node_avg = sx / n
+    neigh_avg = dx / sd
     gap = neigh_avg - node_avg
-    mean_d = div(sd, n)
-    cov = div(dx_cov, n) - mean_d * node_avg
+    mean_d = sd / n
+    cov = dx_cov / n - mean_d * node_avg
     cov_form = cov / mean_d
-    if ints is not None:
-        disagree = cov_form != gap
-    else:
-        scale = max(1.0, abs(gap), abs(cov_form), abs(node_avg), abs(neigh_avg))
-        disagree = abs(gap - cov_form) > 1e-9 * scale
-    if disagree:
+    scale = max(1.0, abs(gap), abs(cov_form), abs(node_avg), abs(neigh_avg))
+    if abs(gap - cov_form) > 1e-9 * scale:
         raise TheoremViolationError.on(f"gap {gap} and covariance form {cov_form} disagree", g,
                                        mode=mode, measure=label, attribute=values.tolist())
     return ParadoxReport(
         mode=mode,
         measure_label=label,
-        node_average=float(node_avg),
-        neighbour_average=float(neigh_avg),
-        gap=float(gap),
-        covariance_form=float(cov_form),
-        holds=gap >= -bound,
-        equality=abs(gap) <= bound,
+        node_average=node_avg,
+        neighbour_average=neigh_avg,
+        gap=gap,
+        covariance_form=cov_form,
+        holds=gap >= -tol,
+        equality=abs(gap) <= tol,
         tol=tol,
-        exact=None if ints is None else {
-            "node_average": node_avg,
-            "neighbour_average": neigh_avg,
-            "gap": gap,
-            "covariance_form": cov_form,
-        },
     ), cov
 
 

@@ -17,7 +17,9 @@ Conventions fixed by this module:
 * Graphs with n <= 12 (_SMALL_N) are solved densely: one LAPACK
   eigendecomposition gives the Perron pair (eigh on undirected graphs,
   eig on digraphs) and, on undirected graphs, exp, sinh and cosh of
-  beta A applied to 1.  Larger graphs iterate.
+  beta A applied to 1.  The eigh is kept on the graph, so both Perron
+  sides and every matrix function of one undirected graph share one
+  decomposition.  Larger graphs iterate.
 * Power iteration always runs on the shifted operator A + I.  The shift
   is invisible in the result (subtracted from the eigenvalue) but makes
   bipartite and periodic structures converge.
@@ -55,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GraphError, ParameterError
-from .graph import Graph, NodeVector, _oriented, _row_sums, is_strongly_connected
+from .graph import Graph, NodeVector, _oriented, is_strongly_connected
 
 __all__ = [
     "EigenResult",
@@ -177,18 +179,29 @@ def _dense(g: Graph) -> np.ndarray:
     return a
 
 
+def _kept_eigh(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, U) of the undirected g's dense A from the one eigh kept on
+    g, taken on first use; the arrays are read-only."""
+    kept = g._eigh
+    if not kept:
+        theta, u = np.linalg.eigh(_dense(g))
+        theta.flags.writeable = u.flags.writeable = False
+        kept.append((theta, u))
+    return kept[0]
+
+
 def _dense_perron(g: Graph) -> tuple[float, np.ndarray, float]:
-    """Perron root of g and its eigenvector from one LAPACK call: eigh's
-    last pair when A is symmetric, else eig's eigenvalue of largest real
-    part, which on an irreducible nonnegative matrix is the Perron root.
-    Also returns the root's lead over the next largest real part,
-    relative to the largest |eigenvalue|."""
+    """Perron root of g and its eigenvector from one LAPACK call: the
+    last pair of the eigh kept on g when A is symmetric, else eig's
+    eigenvalue of largest real part, which on an irreducible nonnegative
+    matrix is the Perron root.  Also returns the root's lead over the
+    next largest real part, relative to the largest |eigenvalue|."""
     if g.directed:
         vals, vecs = np.linalg.eig(_dense(g))
         k = int(np.argmax(vals.real))
         second = float(np.partition(vals.real, -2)[-2])
     else:
-        vals, vecs = np.linalg.eigh(_dense(g))
+        vals, vecs = _kept_eigh(g)
         k, second = -1, float(vals[-2])
     lam = float(vals[k].real)
     return lam, np.abs(vecs[:, k]), (lam - second) / float(np.abs(vals).max())
@@ -200,7 +213,9 @@ def dominant_eigenpair(
     """Perron eigenpair of a connected (strongly connected) graph.
 
     Graphs with n <= 12 (_SMALL_N) are solved by one dense
-    eigendecomposition, which takes no power step (iterations 0);
+    eigendecomposition, which takes no power step (iterations 0); on an
+    undirected graph it is the eigh kept on g, which exp_action,
+    odd_action and even_action read too;
     larger ones run power iteration on A + I for at most max_iter steps
     (default 100 n + 1000).  On either path tol bounds the residual.
     side "left" is served by solving on the reversed graph, so left on
@@ -289,7 +304,7 @@ def spectral_radius_estimate(g: Graph) -> float:
     parameters but never admits a bad one.
     """
     if not is_strongly_connected(g):
-        return min(float(_row_sums(_oriented(g, side)).max()) for side in ("right", "left"))
+        return min(float(_oriented(g, side)._out_degrees.max()) for side in ("right", "left"))
     try:
         return dominant_eigenpair(g).eigenvalue
     except ConvergenceError as exc:
@@ -543,9 +558,10 @@ def series_action(g: Graph, coeffs: SeriesCoefficients) -> NodeVector:
 
 
 def _dense_function(g: Graph, beta: float, parity: int | None) -> np.ndarray:
-    """U f(beta Theta) U^T 1 from eigh of the symmetric A, f = exp, sinh
-    (parity 1) or cosh (parity 0); exact to rounding, with no truncation."""
-    theta, u = np.linalg.eigh(_dense(g))
+    """U f(beta Theta) U^T 1 from the eigh of the symmetric A kept on g,
+    the decomposition its Perron pair comes from, f = exp, sinh (parity
+    1) or cosh (parity 0); exact to rounding, with no truncation."""
+    theta, u = _kept_eigh(g)
     f = {None: np.exp, 1: np.sinh, 0: np.cosh}[parity]
     with np.errstate(over="ignore", invalid="ignore"):
         x = u @ (f(beta * theta) * (u.T @ np.ones(g.n)))
@@ -582,7 +598,7 @@ def _taylor_action(
         return NodeVector(_dense_function(g, beta, parity), label)
     # lambda_1 <= max row sum, so the refusal below can fire only when
     # beta * (max row sum) is past the cap
-    may_refuse = beta * float(_row_sums(g).max()) > _TAYLOR_CAP
+    may_refuse = beta * float(g._out_degrees.max()) > _TAYLOR_CAP
     # the last four terms t_{k-3}..t_k, enough for both chains' tail bounds
     terms = [np.ones(g.n)]
     total = terms[0].copy() if parity in (None, 0) else np.zeros(g.n)
@@ -630,8 +646,8 @@ def exp_action(g: Graph, beta: float, tol: float = 1e-12) -> NodeVector:
     """exp(beta A) 1.
 
     Undirected graphs with n <= 12 (_SMALL_N) take U exp(beta Theta) U^T 1
-    from one dense eigh, exact to rounding; tol is validated but has
-    nothing to bound there.  Every other graph sums the Taylor series
+    from the one dense eigh kept on g, which also gives its Perron pair,
+    exact to rounding; tol is validated but has nothing to bound there.  Every other graph sums the Taylor series
     until a proven bound on the remainder is within tol of the sum in
     every entry: with c = max_i (A^2 t_{k-2})_i / (t_{k-2})_i, read from
     the terms themselves, each later term of t_k's parity chain is at

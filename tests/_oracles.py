@@ -8,6 +8,8 @@ loops over arcs.  Slow and obvious beats fast and shared-bug.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +243,20 @@ def residual_dense(g, vector, eigenvalue) -> float:
     return float(np.linalg.norm(a @ x - eigenvalue * x))
 
 
+def _reads_as_int(token: str) -> bool:
+    try:
+        int(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _signed_ascii_digits(token: str) -> bool:
+    """An optional sign and then only the characters 0-9: int() refuses
+    such a token only for its number of digits."""
+    return re.fullmatch(r"[+-]?[0-9]+", token) is not None
+
+
 def parse_edge_list(text: str, one_based: bool = False):
     """The edge-list parser line by line: each line checked in turn with a
     dict of the edges seen so far, then every edge handed to build."""
@@ -280,6 +296,9 @@ def parse_edge_list(text: str, one_based: bool = False):
         try:
             s, t = int(parts[0]), int(parts[1])
         except ValueError:
+            if all(_reads_as_int(p) or _signed_ascii_digits(p) for p in parts[:2]):
+                raise GraphError(f"line {lineno}: node id too large: more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
             raise GraphError(f"line {lineno}: node ids must be integers: {raw!r}") from None
         w = 1.0
         if len(parts) == 3:
@@ -317,3 +336,97 @@ def parse_edge_list(text: str, one_based: bool = False):
                              f"(max id {n - 1})")
         n = declared
     return build(n, edges, directed=directed)
+
+
+def as_ints(values: np.ndarray):
+    """The entries as Python ints when every one is an integer below 2^53
+    in magnitude, else None: a bound check, then rint, then int() of each."""
+    if np.any(np.abs(values) >= 2**53):
+        return None
+    rounded = np.rint(values)
+    if not np.array_equal(rounded, values):
+        return None
+    return [int(v) for v in rounded]
+
+
+def paradox_report_fraction(g, x, mode: str, tol: float):
+    """The exact paradox report (unweighted g, integral x) in Fraction
+    arithmetic: both averages, the gap as their difference and the
+    covariance form Cov(d, x) / mean(d), each a Fraction of its own.
+    Returns the report and Cov(d, x)."""
+    from walkparadox import ParadoxReport
+
+    assert g.unweighted
+    sampler = g.reverse if mode == "in" else g
+    d = [0] * g.n
+    for i, _, _ in sampler.arcs():
+        d[i] += 1
+    xs = [int(v) for v in np.asarray(getattr(x, "values", x))]
+    n = g.n
+    sd, sx = sum(d), sum(xs)
+    dx = sum(a * b for a, b in zip(d, xs))
+    node_avg = Fraction(sx, n)
+    neigh_avg = Fraction(dx, sd)
+    gap = neigh_avg - node_avg
+    mean_d = Fraction(sd, n)
+    cov = Fraction(dx, n) - mean_d * node_avg
+    cov_form = cov / mean_d
+    assert cov_form == gap
+    bound = Fraction(tol)
+    return ParadoxReport(
+        mode=mode,
+        measure_label=getattr(x, "label", "") or "attribute",
+        node_average=float(node_avg),
+        neighbour_average=float(neigh_avg),
+        gap=float(gap),
+        covariance_form=float(cov_form),
+        holds=gap >= -bound,
+        equality=abs(gap) <= bound,
+        tol=tol,
+        exact={"node_average": node_avg, "neighbour_average": neigh_avg, "gap": gap,
+               "covariance_form": cov_form},
+    ), cov
+
+
+def directed_degree_report_fraction(g, tol: float = 1e-12):
+    """directed_degree_report of an unweighted digraph from
+    paradox_report_fraction, the covariance that of the out_in pairing."""
+    from walkparadox import DirectedDegreeReport, in_degree_vector, out_degree_vector
+
+    d_out, d_in = out_degree_vector(g), in_degree_vector(g)
+    reports = {
+        "out_out": paradox_report_fraction(g, d_out, "out", tol)[0],
+        "in_in": paradox_report_fraction(g, d_in, "in", tol)[0],
+    }
+    reports["out_in"], cov = paradox_report_fraction(g, d_in, "out", tol)
+    reports["in_out"] = paradox_report_fraction(g, d_out, "in", tol)[0]
+    return DirectedDegreeReport(reports=reports, covariance=float(cov), covariance_exact=cov,
+                                tol=tol)
+
+
+def condition_report_fraction(cid: str, lhs, rhs, guaranteed: bool):
+    """An exact condition report with its slack lhs - rhs in Fraction
+    arithmetic and every float a float() of a Fraction or int."""
+    from walkparadox import ConditionReport
+
+    slack = Fraction(lhs) - Fraction(rhs)
+    return ConditionReport(
+        condition_id=cid,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        slack=float(slack),
+        holds=slack >= 0,
+        guaranteed=guaranteed,
+        exact={"lhs": Fraction(lhs), "rhs": Fraction(rhs), "slack": slack},
+    )
+
+
+def walk_growth_fraction(g, k: int, mixed: bool):
+    """check_walk_growth (or check_mixed_walk_growth) of an unweighted
+    undirected graph from integer matrix walk totals."""
+    assert g.unweighted and not g.directed
+    w_k, w_1 = walk_total_int(g, k), walk_total_int(g, 1)
+    lhs = mixed_total_int(g, k) if mixed else walk_total_int(g, k + 1)
+    name = "mixed_walk_growth" if mixed else "walk_growth"
+    return condition_report_fraction(f"{name}(k={k})", lhs, Fraction(w_k * w_1, g.n),
+                                     k % 2 == 1)

@@ -247,9 +247,12 @@ def test_missing_file(capsys):
     # 8 EiB of indptr: no 64-bit address space can hold it
     b"%nodes 1152921504606846974\n0 1\n",
     b"0 1152921504606846973\n",
+    b"0 " + b"1" * 5000 + b"\n",
+    b"0 " + b"9" * 4300 + b"\n",
 ], ids=["not-utf8", "node-id-past-int64", "node-count-past-int64", "node-count-past-numpy",
         "node-count-superscript-digit", "node-count-past-int-digit-limit",
-        "node-count-past-memory", "node-id-past-memory"])
+        "node-count-past-memory", "node-id-past-memory", "node-id-past-int-digit-limit",
+        "node-id-at-int-digit-limit"])
 def test_malformed_edge_list_is_an_input_error(content, tmp_path, capsys):
     f = tmp_path / "g.edges"
     f.write_bytes(content)

@@ -284,3 +284,13 @@ def test_conditions_battery_stops_at_the_first_refused_order(monkeypatch, capsys
     assert capsys.readouterr().err == (
         "error: walk_growth(k=791): walk totals exceed the float range of a report\n")
     assert max(asked) == 792
+
+
+def test_exact_growth_reports_match_fraction_arithmetic(exhaustive6):
+    # slack over the common denominator against Fraction subtraction, byte
+    # for byte, with walk totals from integer matrix products
+    for g in exhaustive6[::27]:
+        for k in range(1, 5):
+            for check, mixed in ((wp.check_walk_growth, False), (wp.check_mixed_walk_growth, True)):
+                got = wp.canonical_json(wp.payload(check(g, k)))
+                assert got == wp.canonical_json(wp.payload(oracle.walk_growth_fraction(g, k, mixed)))

@@ -1,6 +1,7 @@
 """Edge-list text format: round-trips, directives, comments, and
 line-numbered rejection of malformed input."""
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("%nodes 1152921504606846974\n0 1\n0 1\n")
     with pytest.raises(GraphError, match=r"line 2: duplicate edge \(0, 1152921504606846973\)"):
         parse_edge_list("0 1152921504606846973\n0 1152921504606846973\n")
+    # int() refuses ids past sys.get_int_max_str_digits() digits; str()
+    # refuses such ints too, so neither message may print one
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(GraphError, match=f"line 2: node id too large: more than {limit} digits"):
+        parse_edge_list("0 1\n0 " + "1" * (limit + 700) + "\n")
+    with pytest.raises(GraphError, match="line 1: node id too large"):
+        parse_edge_list("-" + "1" * (limit + 1) + " 0\n")
+    with pytest.raises(GraphError, match="line 1: node ids must be integers"):
+        parse_edge_list("x " + "1" * (limit + 1) + "\n")
+    with pytest.raises(GraphError, match=f"node count of more than {limit} digits exceeds"):
+        parse_edge_list("0 " + "9" * limit + "\n")  # the id reads; the count 10^limit does not print
 
 
 def test_nodes_directive_keeps_trailing_isolates():
@@ -155,7 +167,8 @@ def test_multi_line_comments_round_trip(sep):
 # and comments, blank lines and up to three faulty lines put in anywhere,
 # so the graph, or the first error with its line number, must agree.
 _ODD_IDS = st.sampled_from(["-1", "-7", "9", "x", "1.5", "0x1", "1_0", "\u0663",
-                            str(2**63 - 1), str(2**63), str(2**64 + 3), str(-2**63 - 1)])
+                            str(2**63 - 1), str(2**63), str(2**64 + 3), str(-2**63 - 1),
+                            "1" * 5000, "-" + "9" * 4301])
 _IDS = st.one_of(st.integers(0, 7).map(str), _ODD_IDS)
 _WEIGHTS = st.lists(st.sampled_from(["1", "2.5", "0", "-1", "-0.0", "nan", "inf", "-inf",
                                      "1e400", "heavy"]), max_size=1)
@@ -200,6 +213,8 @@ def outcome(parse, text, one_based):
 @example(f"0 {2**64}\n{2**64} 0\n", False)
 @example(f"%nodes 3\n0 {2**63}\n", True)
 @example(f"0 {2**63}\n0 1\n", False)
+@example("0 1\n2 " + "1" * 5000 + "\nx 2\n", False)
+@example("0 " + "9" * 4300 + "\n", True)
 @settings(max_examples=400, deadline=None)
 def test_parser_agrees_with_line_by_line_reference(text, one_based):
     assert outcome(parse_edge_list, text, one_based) == outcome(oracle.parse_edge_list, text,

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import walkparadox as wp
 from walkparadox.errors import GraphError, ParameterError
+from walkparadox.paradox import _as_ints
 
 import _oracles as oracle
 from _strategies import attribute_values, graphs
@@ -240,3 +242,61 @@ def test_paradox_report_rejects_bad_tolerances(tol):
         wp.paradox_report(g, wp.degree_vector(g), tol=tol)
     with pytest.raises(ParameterError, match="tol"):
         wp.directed_degree_report(wp.hub_cycle(5), tol=tol)
+
+
+def _document(report) -> str:
+    return wp.canonical_json(wp.payload(report))
+
+
+def _exact_reports(report):
+    if isinstance(report, wp.DirectedDegreeReport):
+        return list(report.reports.values())
+    return [report]
+
+
+def test_exact_reports_match_fraction_arithmetic(exhaustive6):
+    # the integer evaluator against the Fraction arithmetic it replaced,
+    # byte for byte, on every connected graph with n <= 6 and on digraphs
+    assert len(exhaustive6) == 27_475
+    pairs = [(wp.classic_friendship_paradox(g),
+              oracle.paradox_report_fraction(g, wp.degree_vector(g), "undirected", 1e-9)[0])
+             for g in exhaustive6]
+    digraphs = [wp.hub_cycle(10)] + [wp.erdos_renyi_directed(8, 0.3, seed=s) for s in range(50)]
+    pairs += [(wp.directed_degree_report(g), oracle.directed_degree_report_fraction(g))
+              for g in digraphs]
+    for got, want in pairs:
+        assert _document(got) == _document(want)
+        for rep in _exact_reports(got):
+            assert rep.exact["covariance_form"] == rep.exact["gap"]
+
+
+@given(graphs(max_n=8), st.sampled_from([0, 1e-9, 0.5, 2.0]))
+@settings(max_examples=80)
+def test_exact_verdicts_match_fraction_arithmetic_at_any_tol(g, tol):
+    # tol decides holds and equality by cross-multiplication
+    rng = wp.CounterRng(31)
+    x = np.array([float(rng.randint(9)) for _ in range(g.n)])
+    for mode in (("out", "in") if g.directed else ("undirected",)):
+        got = wp.paradox_report(g, x, mode=mode, tol=tol)
+        assert _document(got) == _document(oracle.paradox_report_fraction(g, x, mode, tol)[0])
+
+
+_HALF_INTS = st.integers(0, 2**20).map(lambda v: v + 0.5)
+_NEAR_2_53 = st.sampled_from([2.0**53 - 1, 2.0**53, 2.0**53 + 2, -0.0, 0.0, 0.5, 1.5])
+
+
+@given(st.lists(st.one_of(st.floats(0, 2.0**60), st.integers(0, 2**53 + 4).map(float),
+                          _HALF_INTS, _NEAR_2_53), min_size=1, max_size=9))
+@example([2.0**53 - 1, 3.0])
+@example([2.0**53, 3.0])
+@example([2.0**53 + 2, 0.0])
+@example([0.5, 2.0])
+@example([-0.0, 1.0, 4.0])
+@example([0.0, 1.0, 2.0, 7.0])
+@settings(max_examples=300)
+def test_as_ints_matches_the_reference(values):
+    values = np.array(values)
+    got, want = _as_ints(values), oracle.as_ints(values)
+    assert got == want
+    if got is not None:
+        assert all(type(v) is int for v in got)

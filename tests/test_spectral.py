@@ -136,6 +136,42 @@ def test_dense_series_serves_undirected_graphs_up_to_small_n(monkeypatch):
     assert calls == [3] * 3 + [small] * 3
 
 
+def _slot_graph(n, directed, weighted):
+    """A cycle with chords, strongly connected when directed."""
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, (i + 3) % n) for i in range(0, n, 2)]
+    return [(s, t, 1.0 + (s * t) % 5 / 4 if weighted else 1.0) for s, t in edges]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n, directed, eighs", [
+    (spectral._SMALL_N, False, 1), (5, False, 1), (spectral._SMALL_N, True, 0),
+    (spectral._SMALL_N + 1, False, 0)])
+def test_one_kept_eigh_serves_every_dense_question(n, directed, eighs, weighted, monkeypatch):
+    questions = {
+        "right": lambda g: wp.dominant_eigenpair(g, side="right").vector,
+        "left": lambda g: wp.dominant_eigenpair(g, side="left").vector,
+        "exp": lambda g: wp.exp_action(g, 0.5),
+        "odd": lambda g: wp.odd_action(g, 0.5),
+        "even": lambda g: wp.even_action(g, 0.5),
+    }
+    edges = _slot_graph(n, directed, weighted)
+    # each answer alone, from a fresh graph that has kept nothing
+    alone = {name: ask(wp.build(n, edges, directed=directed)).values.tobytes()
+             for name, ask in questions.items()}
+    eigh, calls = np.linalg.eigh, []
+
+    def counted(a, *args, **kw):
+        calls.append(a.shape)
+        return eigh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    g = wp.build(n, edges, directed=directed)
+    assert g.unweighted != weighted
+    together = {name: ask(g).values.tobytes() for name, ask in questions.items()}
+    assert len(calls) == eighs
+    assert together == alone
+
+
 def test_digraph_perron_roots_in_closed_form():
     # hub_cycle(10)'s Perron root is phi; three_node's is the real root
     # of x^3 - x - 1, the plastic number (Cardano's formula)
