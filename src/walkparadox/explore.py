@@ -28,7 +28,7 @@ import numpy as np
 from .centrality import CentralitySpec, compute
 from .conditions import _check_orders, check_lagarias, check_spectral_directed, check_walk_growth
 from .errors import ConvergenceError, GraphError, ParameterError, TheoremViolationError
-from .generators import FamilySpec, _connected_mask_blocks, _mask_graph, make, make_connected
+from .generators import FamilySpec, _connected_mask_blocks, _mask_graphs, make, make_connected
 from .graph import Graph, build, is_connected, is_regular, is_strongly_connected
 from .paradox import (
     _check_tol,
@@ -240,13 +240,11 @@ def exhaustive_lagarias_search(max_n: int, r: int, s: int) -> SearchOutcome:
             slack = n * w[r + s] - w[r] * w[s]
             low, failed = slack.min(), np.flatnonzero(slack < 0).tolist()
         else:
-            reports = [check_lagarias(_mask_graph(n, pairs, mask), r, s)
-                       for mask in masks.tolist()]
+            reports = [check_lagarias(g, r, s) for g in _mask_graphs(n, pairs, masks)]
             low = min(report.slack for report in reports)
             failed = [i for i, report in enumerate(reports) if not report.holds]
         min_slack = low if min_slack is None else min(min_slack, low)
-        for i in failed:
-            g = _mask_graph(n, pairs, int(masks[i]))
+        for i, g in zip(failed, _mask_graphs(n, pairs, masks[failed])):
             violations.append(_record(trials + i, g, check_lagarias(g, r, s)))
         trials += len(masks)
     return SearchOutcome(

@@ -15,20 +15,22 @@ mixed-paradox examples.
 
 The exhaustive corpus comes from one mask source: the edge subsets of
 each K_n, as int64 bitmasks filtered for connectivity in blocks of at
-most 4,096.  enumerate_connected builds a Graph from each kept mask; the
-exhaustive search builds only the graphs it reports, and the CLI's
-enumerate only counts the masks.
+most 4,096.  _mask_graphs assembles a whole block of masks at once;
+enumerate_connected builds every kept mask's graph that way, the
+exhaustive search only the graphs it reports, and the CLI's enumerate
+only counts the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations
+from typing import Iterator
 
 import numpy as np
 
 from .errors import GraphError, ParameterError
-from .graph import Graph, _assemble, is_connected
+from .graph import Graph, _assemble, _trusted, is_connected
 from .rng import CounterRng, derive_seed
 
 __all__ = [
@@ -334,19 +336,39 @@ def _connected_mask_blocks(max_n: int):
     return blocks()
 
 
-def _mask_graph(n: int, pairs, mask: int) -> Graph:
-    """The graph on n nodes with edge pairs[i] for every bit i set in mask."""
-    return _graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+def _mask_graphs(n: int, pairs, masks: np.ndarray) -> Iterator[Graph]:
+    """The graphs on n nodes of a block of edge masks (bit i set: edge
+    pairs[i]), assembled from one (B, n, n) boolean adjacency.
+
+    One np.flatnonzero lists every arc of the block in row-major order,
+    the order _assemble sorts arcs into; its positions mod n are the arc
+    targets.  One cumsum of the row sums gives every graph's indptr.
+    Each graph holds slices of the block's read-only arrays; the block
+    is assembled on the first draw and each graph made when drawn.
+    """
+    a, b = np.array(pairs, dtype=np.intp).T
+    bits = masks[:, None] >> np.arange(len(pairs)) & 1 != 0
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    adj[:, a, b] = adj[:, b, a] = bits
+    indices = np.flatnonzero(adj) % n
+    indptr = np.zeros((len(masks), n + 1), dtype=np.int64)
+    np.cumsum(adj.sum(axis=2), axis=1, out=indptr[:, 1:])
+    weights = np.ones(len(indices))
+    for arr in (indptr, indices, weights):
+        arr.setflags(write=False)
+    ends = np.cumsum(indptr[:, -1])
+    spans = zip(indptr, (ends - indptr[:, -1]).tolist(), ends.tolist())
+    for ptr, lo, hi in spans:
+        yield _trusted(n, False, ptr, indices[lo:hi], weights[lo:hi])
 
 
 def enumerate_connected(max_n: int):
     """Every connected labeled simple graph with 2 <= n <= max_n, once.
 
     Edge subsets of K_n are swept as bitmasks in ascending order, a block
-    at a time, and only the connected ones are built.  Counts grow as
-    1, 4, 38, 728, 26704 for n = 2..6; max_n is capped at 7 because
-    n = 8 alone would mean 2^28 subsets.
+    at a time, and the connected ones are assembled a block at a time.
+    Counts grow as 1, 4, 38, 728, 26704 for n = 2..6; max_n is capped at
+    7 because n = 8 alone would mean 2^28 subsets.
     """
     for n, pairs, masks in _connected_mask_blocks(max_n):
-        for mask in masks.tolist():
-            yield _mask_graph(n, pairs, mask)
+        yield from _mask_graphs(n, pairs, masks)

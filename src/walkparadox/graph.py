@@ -15,7 +15,10 @@ Every graph is assembled by one private entry, :func:`_assemble`, from
 edge arrays.  ``build`` calls it after its own per-edge checks; the
 edge-list parser, which checks whole arrays with line numbers, and the
 generators, whose edges are valid by construction, call it directly, so
-no edge is validated twice.
+no edge is validated twice.  The enumerated corpus is assembled a block
+of graphs at a time in ``generators``.  Both hand arrays they made
+themselves to :func:`_trusted`, which freezes them in place; the public
+``Graph(...)`` constructor copies the caller's arrays.
 """
 
 from __future__ import annotations
@@ -194,6 +197,17 @@ def _frozen(arr, dtype) -> np.ndarray:
     return out
 
 
+def _trusted(n: int, directed: bool, indptr: np.ndarray, indices: np.ndarray,
+             weights: np.ndarray) -> Graph:
+    """A Graph over int64, int64 and float64 arrays that no one else writes:
+    they are frozen in place, not copied.  The caller vouches for them."""
+    for arr in (indptr, indices, weights):
+        arr.setflags(write=False)
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, directed=directed, indptr=indptr, indices=indices, weights=weights)
+    return g
+
+
 def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
     """Validate an edge list and assemble the CSR graph.
 
@@ -218,14 +232,14 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         elif len(edge) == 3:
             s, t, w = edge
         else:
-            raise GraphError(f"edge must be (source, target[, weight]): {edge!r}")
+            raise GraphError(f"edge must be (source, target[, weight]): {_shown(edge)}")
         if isinstance(s, bool) or isinstance(t, bool):
-            raise GraphError(f"node ids must be integers: {edge!r}")
+            raise GraphError(f"node ids must be integers: {_shown(edge)}")
         if not isinstance(s, (int, np.integer)) or not isinstance(t, (int, np.integer)):
-            raise GraphError(f"node ids must be integers: {edge!r}")
+            raise GraphError(f"node ids must be integers: {_shown(edge)}")
         s, t = int(s), int(t)
         if not (0 <= s < n and 0 <= t < n):
-            raise GraphError(f"node id out of range 0..{n - 1}: ({s}, {t})")
+            raise GraphError(f"node id out of range 0..{n - 1}: {_shown((s, t))}")
         if s == t:
             raise GraphError(f"self-loop at node {s}")
         w = float(w)
@@ -254,6 +268,16 @@ def _decimal(n: int) -> str:
         return f"of more than {sys.get_int_max_str_digits()} digits"
 
 
+def _shown(obj) -> str:
+    """repr(obj), with a bound in place of each int whose digits str() refuses."""
+    try:
+        return repr(obj)
+    except ValueError:
+        if isinstance(obj, int):
+            return f"<int {_decimal(obj)}>"
+        return "(" + ", ".join(map(_shown, obj)) + ")"
+
+
 def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
               wts: np.ndarray) -> Graph:
     """The one CSR assembly: edges (source, target, weight) as int64 and
@@ -273,7 +297,7 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     except MemoryError:
         raise GraphError(f"node count {n} needs index arrays larger than memory") from None
-    return Graph(n, directed, indptr, dst[order], wts[order])
+    return _trusted(n, directed, indptr, dst[order], wts[order])
 
 
 def degree_vector(g: Graph) -> NodeVector:

@@ -65,8 +65,13 @@ def _emit(obj, indent: int) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}{_emit(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + close + "]"
+        if all(isinstance(v, float) for v in obj):  # vectors: one pass, one check
+            if not all(map(math.isfinite, obj)):
+                _float_repr(next(v for v in obj if not math.isfinite(v)))  # raises
+            items = ["%.17g" % v for v in obj]
+        else:
+            items = [_emit(v, indent + 1) for v in obj]
+        return "[\n" + pad + (",\n" + pad).join(items) + "\n" + close + "]"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, bool):

@@ -168,9 +168,10 @@ class EigenResult:
 def _start_vector(n: int) -> np.ndarray:
     # 1/n with a +i/n^2 ramp: deterministic, positive, breaks the
     # symmetry that would stall iteration on vertex-transitive graphs.
-    raw = [1.0 / n + i / (n * n) for i in range(n)]
-    s = sum(raw)
-    return np.array([v * (n / s) for v in raw])
+    # The sum is a sequential cumsum: np.sum adds pairwise, and Python's
+    # sum() compensates from 3.12 on, so either would move the last bits.
+    raw = 1.0 / n + np.arange(n) / (n * n)
+    return raw * (n / float(np.cumsum(raw)[-1]))
 
 
 def _dense(g: Graph) -> np.ndarray:

@@ -134,6 +134,20 @@ def mask_connected(n: int, pairs, mask: int) -> bool:
     return seen == (1 << n) - 1
 
 
+def mask_csr(n: int, pairs, mask: int):
+    """(indptr, indices, weights) of the graph with edge pairs[i] for each
+    bit i of mask, one mask at a time: its edge list, mirrored, sorted
+    row-major by one lexsort, indptr from a bincount of the sources."""
+    edges = np.array([pair for i, pair in enumerate(pairs) if mask >> i & 1],
+                     dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate((edges[:, 0], edges[:, 1]))
+    dst = np.concatenate((edges[:, 1], edges[:, 0]))
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order], np.ones(len(src))
+
+
 def connected_graphs(max_n: int):
     """Every connected labeled graph on 2..max_n nodes, built one mask at
     a time in ascending mask order, with the package's max_n checks."""
@@ -169,6 +183,16 @@ def exhaustive_search(max_n: int, r: int, s: int):
                                               report.condition_id, report.slack))
     return SearchOutcome(r, s, len(slacks), tuple(violations), float(min(slacks)),
                          f"exhaustive(max_n={max_n})", None)
+
+
+def start_vector(n: int) -> np.ndarray:
+    """Power iteration's start vector: 1/n + i/n^2, scaled to sum n by a
+    sum taken left to right in plain float addition."""
+    raw = [1.0 / n + i / (n * n) for i in range(n)]
+    s = 0.0
+    for v in raw:
+        s += v
+    return np.array([v * (n / s) for v in raw])
 
 
 def dominant_eigenvalue_dense(g) -> float:

@@ -1,7 +1,7 @@
 """Family constructors: exact shapes for the fixed examples, structural
 invariants plus determinism for the seeded ones."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -213,6 +213,24 @@ def test_enumerated_graphs_assemble_what_build_validates():
     for g in wp.enumerate_connected(4):
         wp.validate_graph(g)
         assert g == wp.build(g.n, g.edges())
+
+
+def test_enumerated_graphs_match_the_edge_list_assembly():
+    """Every graph on n <= 6 and the first n = 7 block, array by array and
+    dtype by dtype, against the one-mask edge-list formula."""
+    from walkparadox.generators import _connected_mask_blocks
+
+    expected = []
+    for n, pairs, masks in _connected_mask_blocks(7):
+        expected += [(n, pairs, mask) for mask in masks.tolist()]
+        if n == 7:
+            break
+    graphs = list(islice(wp.enumerate_connected(7), len(expected)))
+    assert len(graphs) == len(expected) > 27_475
+    for g, (n, pairs, mask) in zip(graphs, expected):
+        assert (g.n, g.directed) == (n, False)
+        for got, want in zip((g.indptr, g.indices, g.weights), oracle.mask_csr(n, pairs, mask)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_connected_mask_blocks():

@@ -32,6 +32,13 @@ def test_build_rejects_malformed_edges():
         wp.build(3, [(0, 3)])
     with pytest.raises(GraphError, match="out of range"):
         wp.build(3, [(-1, 2)])
+    # ids past the digits str() prints are named by their digit bound
+    with pytest.raises(GraphError, match=r"out of range 0..2: \(0, <int of more than \d+ digits>\)"):
+        wp.build(3, [(0, 10**5000)])
+    with pytest.raises(GraphError, match=r"integers: \(0.5, <int of more than \d+ digits>\)"):
+        wp.build(3, [(0.5, 10**5000)])
+    with pytest.raises(GraphError, match=r"out of range 0..2: \(<int of more than \d+ digits>, 1\)"):
+        wp.build(3, [(10**5000, 1, 1.0)])
     with pytest.raises(GraphError, match="self-loop at node 2"):
         wp.build(3, [(2, 2)])
     with pytest.raises(GraphError, match="at least one edge"):
@@ -45,6 +52,34 @@ def test_build_rejects_malformed_edges():
     # fits int64, but its 4 EiB of indptr fit no 64-bit address space
     with pytest.raises(GraphError, match=f"node count {2**59} needs index arrays"):
         wp.build(2**59, [(0, 1)])
+
+
+def test_every_graph_source_hands_out_read_only_arrays():
+    digraph = wp.build(3, [(0, 1), (1, 2, 2.0)], directed=True)
+    sources = {
+        "built": wp.build(3, [(0, 1), (1, 2)]),
+        "parsed": wp.parse_edge_list("%directed\n0 1\n1 2 0.5\n2 0\n"),
+        "generated": wp.erdos_renyi(8, 0.5, seed=1),
+        "enumerated": list(wp.enumerate_connected(4))[-1],
+        "reversed": digraph.reverse,
+        "directed": digraph,
+    }
+    for name, g in sources.items():
+        for arr in (g.indptr, g.indices, g.weights):
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+
+def test_graph_constructor_copies_the_callers_arrays():
+    indptr, indices = np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1])
+    weights = np.array([1.0, 1.0, 2.0, 2.0])
+    g = wp.Graph(3, False, indptr, indices, weights)
+    indptr[1:] = 4
+    indices[:] = 0
+    weights[:] = 9.0
+    assert g == wp.build(3, [(0, 1), (1, 2, 2.0)])
+    assert indices.flags.writeable  # the caller's arrays stay the caller's
 
 
 def test_build_rejects_duplicates_in_any_orientation():

@@ -57,10 +57,22 @@ def test_rejects_unserializable_content():
         canonical_json(float("nan"))
     with pytest.raises(ValueError, match="non-finite"):
         canonical_json({"x": math.inf})
+    with pytest.raises(ValueError, match="non-finite number in report: nan"):
+        canonical_json({"x": [1.0, math.nan, math.inf]})  # a float list, checked at once
+    with pytest.raises(ValueError, match="non-finite number in report: -inf"):
+        canonical_json([1, -math.inf])
     with pytest.raises(TypeError, match="keys must be strings"):
         canonical_json({1: "x"})
     with pytest.raises(TypeError, match="cannot serialize"):
         canonical_json({"x": {3, 4}})
+
+
+def test_float_lists_and_mixed_lists_share_one_layout():
+    floats = canonical_json({"v": [0.1, 1.0, -2.5e-300]})
+    assert floats == '{\n  "v": [\n    0.10000000000000001,\n    1,\n    -2.5e-300\n  ]\n}\n'
+    mixed = canonical_json({"v": [0.1, 1, [2.0], True]})
+    assert mixed == ('{\n  "v": [\n    0.10000000000000001,\n    1,\n    [\n      2\n    ],\n'
+                     '    true\n  ]\n}\n')
 
 
 def test_empty_containers():

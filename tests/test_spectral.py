@@ -807,3 +807,8 @@ def test_kept_pairs_keep_validation_first(monkeypatch):
 def test_solvers_reject_max_iter_below_one_or_fractional(solve, max_iter):
     with pytest.raises(ParameterError, match="max_iter must be an integer >= 1"):
         solve(wp.figure1(), max_iter)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 45, 300, 1000, 10**4, 12345, 10**6])
+def test_start_vector_is_the_sequential_sum_formula(n):
+    assert spectral._start_vector(n).tobytes() == oracle.start_vector(n).tobytes()
