@@ -346,11 +346,11 @@ def _mask_graphs(n: int, pairs, masks: np.ndarray) -> Iterator[Graph]:
     Each graph holds slices of the block's read-only arrays; the block
     is assembled on the first draw and each graph made when drawn.
     """
-    a, b = np.array(pairs, dtype=np.intp).T
-    bits = masks[:, None] >> np.arange(len(pairs)) & 1 != 0
     adj = np.zeros((len(masks), n, n), dtype=bool)
-    adj[:, a, b] = adj[:, b, a] = bits
-    indices = np.flatnonzero(adj) % n
+    for i, (a, b) in enumerate(pairs):
+        adj[:, a, b] = adj[:, b, a] = masks >> i & 1
+    indices = np.flatnonzero(adj)
+    indices %= n
     indptr = np.zeros((len(masks), n + 1), dtype=np.int64)
     np.cumsum(adj.sum(axis=2), axis=1, out=indptr[:, 1:])
     weights = np.ones(len(indices))
