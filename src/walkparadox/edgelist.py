@@ -20,13 +20,10 @@ and within it of the first check it fails.
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left
-
 import numpy as np
 
 from .errors import GraphError
-from .graph import Graph, _assemble
+from .graph import _MAX_NODES, Graph, _assemble
 
 __all__ = ["parse_edge_list", "format_edge_list"]
 
@@ -36,8 +33,8 @@ _FAULTS = (
     "line {n}: directives must precede all edges",
     "line {n}: expected 'source target [weight]', got {raw!r}",
     "line {n}: node ids must be integers: {raw!r}",
-    # the id itself is left out: str() refuses an int past the digit limit
-    "line {n}: node id too large: more than {limit} digits",
+    # the id itself is left out: str() refuses an int past its digit limit
+    "line {n}: node id too large: a graph holds at most {cap} nodes",
     "line {n}: bad weight: {raw!r}",
     "line {n}: {low}",
     "self-loop at line {n}",
@@ -60,12 +57,15 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
     m = at.size
     fields = counts[at]
     heads, tails, weights = _columns(" ".join(bare[start:]).split(), fields)
-    ids, unread = _read(heads + tails, int, 0)
-    # digits that int() refuses only for their number
-    long = unread & [_digits(tok) for tok in heads + tails] if unread.any() else unread
-    bad = unread & ~long
     shift = 1 if one_based else 0
-    codes, floor, top = _codes(ids, shift)
+    cap = _MAX_NODES - 1 + shift  # the largest id whose node count is held
+    ids, unread = _read(heads + tails, int, cap + 1)
+    if unread.any():  # digits that int() refuses only for their number are past cap
+        unread &= [not _digits(tok) for tok in heads + tails]
+    try:
+        codes = np.array(ids, dtype=np.int64)
+    except OverflowError:  # only ids past cap or below -2^63, on faulty lines
+        codes = np.array([min(max(v, -1), cap + 1) for v in ids], dtype=np.int64)
     s, t = codes[:m], codes[m:]
     three = fields == 3
     w = np.ones(m)
@@ -75,10 +75,10 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
         # a stray directive never reads as an id, so only then can one be there
         np.array([h[0] == "%" for h in heads]) if unread.any() else unread[:m],
         (fields < 2) | (fields > 3),
-        bad[:m] | bad[m:],
-        long[:m] | long[m:],
+        unread[:m] | unread[m:],
+        (s > cap) | (t > cap),
         bad_weight,
-        (s < floor) | (t < floor),
+        (s < shift) | (t < shift),
         s == t,
         np.zeros(m, dtype=bool),  # duplicates: the assembly's sort finds them
         w <= 0,
@@ -96,11 +96,11 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
             low = "ids must be >= 1 in one-based input" if one_based else "negative node id"
             raise GraphError(_FAULTS[int(np.argmax(table[:, i]))].format(
                 n=at[i] + 1, raw=lines[at[i]], low=low, s=ids[i], t=ids[m + i],
-                first=at[earlier[i]] + 1, limit=sys.get_int_max_str_digits()))
+                first=at[earlier[i]] + 1, cap=_MAX_NODES))
 
     if np.any(faults):
         refuse()
-    n = top - shift + 1
+    n = int(codes.max()) - shift + 1
     try:
         if declared is not None:
             if declared < n:
@@ -180,21 +180,6 @@ def _digits(token: str) -> bool:
     """Whether a token is ASCII digits after an optional sign."""
     digits = token[1:] if token[0] in "+-" else token
     return digits.isascii() and digits.isdigit()
-
-
-def _codes(ids: list, floor: int):
-    """int64 codes with the ids' order and equality, the code of floor,
-    and the largest id.  The codes are the ids themselves when they fit
-    in int64, and their ranks otherwise: an id past int64 leaves a node
-    count that the assembly refuses before it reads the codes."""
-    try:
-        codes = np.array(ids, dtype=np.int64)
-        return codes, floor, int(codes.max())
-    except OverflowError:
-        distinct = sorted(set(ids))
-        rank = {v: r for r, v in enumerate(distinct)}
-        return (np.array([rank[v] for v in ids], dtype=np.int64),
-                bisect_left(distinct, floor), distinct[-1])
 
 
 def _repeats(lo: np.ndarray, hi: np.ndarray):

@@ -24,7 +24,6 @@ themselves to :func:`_trusted`, which freezes them in place; the public
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -47,8 +46,11 @@ __all__ = [
     "validate_graph",
 ]
 
-# Largest node count whose int64 indptr (n + 1 entries) numpy can size.
+# Largest node count whose int64 indptr (n + 1 entries) numpy can size;
+# build refuses a larger one before it reads an edge, _assemble before it
+# reads an array.
 _MAX_NODES = np.iinfo(np.intp).max // np.dtype(np.int64).itemsize - 1
+_TOO_MANY = f"node count exceeds {_MAX_NODES}, the most int64 index arrays can hold"
 
 # Relative spread below which weighted degrees count as equal.
 _REGULAR_RTOL = 1e-12
@@ -219,7 +221,7 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         raise GraphError("node count must be a positive integer")
     n = int(n)
     if n > _MAX_NODES:  # before the loop: ids below such an n may not fit int64
-        raise GraphError(f"node count {_decimal(n)} exceeds what int64 index arrays can hold")
+        raise GraphError(_TOO_MANY)
 
     src: list[int] = []
     dst: list[int] = []
@@ -232,14 +234,16 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
         elif len(edge) == 3:
             s, t, w = edge
         else:
-            raise GraphError(f"edge must be (source, target[, weight]): {_shown(edge)}")
+            raise GraphError(f"edge must be (source, target[, weight]), got length {len(edge)}")
         if isinstance(s, bool) or isinstance(t, bool):
-            raise GraphError(f"node ids must be integers: {_shown(edge)}")
+            raise GraphError("node ids must be integers, got "
+                             f"({type(s).__name__}, {type(t).__name__})")
         if not isinstance(s, (int, np.integer)) or not isinstance(t, (int, np.integer)):
-            raise GraphError(f"node ids must be integers: {_shown(edge)}")
+            raise GraphError("node ids must be integers, got "
+                             f"({type(s).__name__}, {type(t).__name__})")
         s, t = int(s), int(t)
         if not (0 <= s < n and 0 <= t < n):
-            raise GraphError(f"node id out of range 0..{n - 1}: {_shown((s, t))}")
+            raise GraphError(f"node id out of range 0..{n - 1}")
         if s == t:
             raise GraphError(f"self-loop at node {s}")
         w = float(w)
@@ -260,24 +264,6 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
                      np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64))
 
 
-def _decimal(n: int) -> str:
-    """n in decimal, or a bound on it where str() refuses its digit count."""
-    try:
-        return str(n)
-    except ValueError:
-        return f"of more than {sys.get_int_max_str_digits()} digits"
-
-
-def _shown(obj) -> str:
-    """repr(obj), with a bound in place of each int whose digits str() refuses."""
-    try:
-        return repr(obj)
-    except ValueError:
-        if isinstance(obj, int):
-            return f"<int {_decimal(obj)}>"
-        return "(" + ", ".join(map(_shown, obj)) + ")"
-
-
 def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
               wts: np.ndarray) -> Graph:
     """The one CSR assembly: edges (source, target, weight) as int64 and
@@ -287,7 +273,7 @@ def _assemble(n: int, directed: bool, src: np.ndarray, dst: np.ndarray,
     edges come out as equal adjacent arcs in a row.
     """
     if n > _MAX_NODES:
-        raise GraphError(f"node count {_decimal(n)} exceeds what int64 index arrays can hold")
+        raise GraphError(_TOO_MANY)
     if not directed:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
         wts = np.concatenate((wts, wts))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +284,7 @@ def parse_edge_list(text: str, one_based: bool = False):
     """The edge-list parser line by line: each line checked in turn with a
     dict of the edges seen so far, then every edge handed to build."""
     from walkparadox import GraphError, build
+    from walkparadox.graph import _MAX_NODES
 
     directed = False
     declared = None
@@ -317,13 +317,14 @@ def parse_edge_list(text: str, one_based: bool = False):
             raise GraphError(
                 f"line {lineno}: expected 'source target [weight]', got {raw!r}"
             )
-        try:
-            s, t = int(parts[0]), int(parts[1])
-        except ValueError:
-            if all(_reads_as_int(p) or _signed_ascii_digits(p) for p in parts[:2]):
-                raise GraphError(f"line {lineno}: node id too large: more than "
-                                 f"{sys.get_int_max_str_digits()} digits") from None
-            raise GraphError(f"line {lineno}: node ids must be integers: {raw!r}") from None
+        if not all(_reads_as_int(p) or _signed_ascii_digits(p) for p in parts[:2]):
+            raise GraphError(f"line {lineno}: node ids must be integers: {raw!r}")
+        # a graph holds at most _MAX_NODES nodes, so no id past the last of
+        # them is read; digits that int() refuses for their number are past it
+        if not all(_reads_as_int(p) and int(p) < _MAX_NODES + one_based for p in parts[:2]):
+            raise GraphError(f"line {lineno}: node id too large: a graph holds at most "
+                             f"{_MAX_NODES} nodes")
+        s, t = int(parts[0]), int(parts[1])
         w = 1.0
         if len(parts) == 3:
             try:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import walkparadox as wp
 from walkparadox import GraphError, format_edge_list, parse_edge_list
+from walkparadox.graph import _MAX_NODES
 
 import _oracles as oracle
 from _strategies import graphs
@@ -105,17 +106,28 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list("%nodes 1152921504606846974\n0 1\n0 1\n")
     with pytest.raises(GraphError, match=r"line 2: duplicate edge \(0, 1152921504606846973\)"):
         parse_edge_list("0 1152921504606846973\n0 1152921504606846973\n")
-    # int() refuses ids past sys.get_int_max_str_digits() digits; str()
-    # refuses such ints too, so neither message may print one
+    # an id whose node count no graph holds is a fault of its own line, and
+    # no message prints it: str() refuses ints past its digit limit
+    cap = "node id too large: a graph holds at most 1152921504606846974 nodes"
     limit = sys.get_int_max_str_digits()
-    with pytest.raises(GraphError, match=f"line 2: node id too large: more than {limit} digits"):
+    with pytest.raises(GraphError, match=f"line 2: {cap}$"):
         parse_edge_list("0 1\n0 " + "1" * (limit + 700) + "\n")
-    with pytest.raises(GraphError, match="line 1: node id too large"):
+    with pytest.raises(GraphError, match=f"line 1: {cap}$"):
         parse_edge_list("-" + "1" * (limit + 1) + " 0\n")
     with pytest.raises(GraphError, match="line 1: node ids must be integers"):
         parse_edge_list("x " + "1" * (limit + 1) + "\n")
-    with pytest.raises(GraphError, match=f"node count of more than {limit} digits exceeds"):
-        parse_edge_list("0 " + "9" * limit + "\n")  # the id reads; the count 10^limit does not print
+    with pytest.raises(GraphError, match=f"line 1: {cap}$"):
+        parse_edge_list("0 " + "9" * limit + "\n")
+    with pytest.raises(GraphError, match=f"line 2: {cap}$"):
+        parse_edge_list("0 1\n0 1152921504606846974\n")
+    with pytest.raises(GraphError, match=f"line 2: {cap}$"):
+        parse_edge_list("%one-based\n1 1152921504606846975\n")
+    # the one-based id 2^60 - 2 asks for 2^60 - 2 nodes, which pass the cap
+    with pytest.raises(GraphError, match="node count 1152921504606846974 needs index arrays"):
+        parse_edge_list("%one-based\n1 1152921504606846974\n")
+    # the earlier line past the cap is named, not the later duplicate
+    with pytest.raises(GraphError, match=f"line 1: {cap}$"):
+        parse_edge_list(f"0 {2**64}\n{2**64} 0\n")
 
 
 def test_nodes_directive_keeps_trailing_isolates():
@@ -168,7 +180,8 @@ def test_multi_line_comments_round_trip(sep):
 # so the graph, or the first error with its line number, must agree.
 _ODD_IDS = st.sampled_from(["-1", "-7", "9", "x", "1.5", "0x1", "1_0", "\u0663",
                             str(2**63 - 1), str(2**63), str(2**64 + 3), str(-2**63 - 1),
-                            "1" * 5000, "-" + "9" * 4301])
+                            "1" * 5000, "-" + "9" * 4301, "0" * 29 + "1", "+" + "7" * 4400,
+                            *map(str, (_MAX_NODES - 1, _MAX_NODES, _MAX_NODES + 1))])
 _IDS = st.one_of(st.integers(0, 7).map(str), _ODD_IDS)
 _WEIGHTS = st.lists(st.sampled_from(["1", "2.5", "0", "-1", "-0.0", "nan", "inf", "-inf",
                                      "1e400", "heavy"]), max_size=1)
@@ -215,6 +228,12 @@ def outcome(parse, text, one_based):
 @example(f"0 {2**63}\n0 1\n", False)
 @example("0 1\n2 " + "1" * 5000 + "\nx 2\n", False)
 @example("0 " + "9" * 4300 + "\n", True)
+@example(f"0 {_MAX_NODES - 1}\n", False)
+@example(f"0 {_MAX_NODES}\n1 2\n", False)
+@example(f"1 {_MAX_NODES}\n", True)
+@example(f"%one-based\n1 {_MAX_NODES + 1}\n", False)
+@example("0 " + "0" * 29 + "1\n1 2\n", True)
+@example("0 1\n1 +" + "7" * 4400 + "\n", False)
 @settings(max_examples=400, deadline=None)
 def test_parser_agrees_with_line_by_line_reference(text, one_based):
     assert outcome(parse_edge_list, text, one_based) == outcome(oracle.parse_edge_list, text,

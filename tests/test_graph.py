@@ -32,13 +32,15 @@ def test_build_rejects_malformed_edges():
         wp.build(3, [(0, 3)])
     with pytest.raises(GraphError, match="out of range"):
         wp.build(3, [(-1, 2)])
-    # ids past the digits str() prints are named by their digit bound
-    with pytest.raises(GraphError, match=r"out of range 0..2: \(0, <int of more than \d+ digits>\)"):
+    # no message prints a caller's id: str() refuses ints past its digit limit
+    with pytest.raises(GraphError, match=r"out of range 0\.\.2$"):
         wp.build(3, [(0, 10**5000)])
-    with pytest.raises(GraphError, match=r"integers: \(0.5, <int of more than \d+ digits>\)"):
+    with pytest.raises(GraphError, match=r"integers, got \(float, int\)$"):
         wp.build(3, [(0.5, 10**5000)])
-    with pytest.raises(GraphError, match=r"out of range 0..2: \(<int of more than \d+ digits>, 1\)"):
+    with pytest.raises(GraphError, match=r"out of range 0\.\.2$"):
         wp.build(3, [(10**5000, 1, 1.0)])
+    with pytest.raises(GraphError, match=r"\(source, target\[, weight\]\), got length 1$"):
+        wp.build(3, [(10**5000,)])
     with pytest.raises(GraphError, match="self-loop at node 2"):
         wp.build(3, [(2, 2)])
     with pytest.raises(GraphError, match="at least one edge"):
@@ -47,7 +49,7 @@ def test_build_rejects_malformed_edges():
         wp.build(2**63, [(0, 1)])
     with pytest.raises(GraphError, match="int64"):
         wp.build(2**63 + 1, [(0, 2**63)])
-    with pytest.raises(GraphError, match="node count of more than .* digits exceeds"):
+    with pytest.raises(GraphError, match=f"node count exceeds {2**60 - 2}, the most int64"):
         wp.build(10**5000, [(0, 1)])  # past the digits str() prints
     # fits int64, but its 4 EiB of indptr fit no 64-bit address space
     with pytest.raises(GraphError, match=f"node count {2**59} needs index arrays"):
