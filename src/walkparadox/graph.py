@@ -228,13 +228,20 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
     wts: list[float] = []
     seen: set[tuple[int, int]] = set()
     for edge in edges:
-        if len(edge) == 2:
+        try:
+            size = len(edge)
+        except TypeError:
+            size = None
+        if size == 2:
             s, t = edge
             w = 1.0
-        elif len(edge) == 3:
+        elif size == 3:
             s, t, w = edge
+            if isinstance(w, (str, bytes, bool)):  # float() reads "2", b"2" and True
+                w = None
         else:
-            raise GraphError(f"edge must be (source, target[, weight]), got length {len(edge)}")
+            got = type(edge).__name__ if size is None else f"length {size}"
+            raise GraphError(f"edge must be (source, target[, weight]), got {got}")
         if isinstance(s, bool) or isinstance(t, bool):
             raise GraphError("node ids must be integers, got "
                              f"({type(s).__name__}, {type(t).__name__})")
@@ -246,7 +253,10 @@ def build(n: int, edges: Iterable[Sequence], directed: bool = False) -> Graph:
             raise GraphError(f"node id out of range 0..{n - 1}")
         if s == t:
             raise GraphError(f"self-loop at node {s}")
-        w = float(w)
+        try:
+            w = float(w)
+        except (TypeError, ValueError, OverflowError):
+            raise GraphError(f"weight on edge ({s}, {t}) must be a real number") from None
         if not math.isfinite(w) or w <= 0.0:
             raise GraphError(f"nonpositive or non-finite weight on edge ({s}, {t})")
         key = (s, t) if directed else (min(s, t), max(s, t))

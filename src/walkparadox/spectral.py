@@ -696,8 +696,9 @@ def _walk_sums(g: Graph, kmax: int, mixed: bool = False):
     ints; weighted graphs walk in floats, where overflow warnings are
     silenced and sums that leave the finite range are rejected.
     """
-    if kmax < 0:
-        raise ParameterError("walk order must be nonnegative")
+    # concrete classes, not numbers.Integral, whose check tiny graphs feel
+    if not isinstance(kmax, (int, np.integer)) or kmax < 0:
+        raise ParameterError("walk order must be a nonnegative integer")
     if mixed and not g.directed:
         totals = _walk_sums(g, kmax + 1)[0]
         return totals[:-1], totals[1:]

@@ -41,6 +41,13 @@ def test_build_rejects_malformed_edges():
         wp.build(3, [(10**5000, 1, 1.0)])
     with pytest.raises(GraphError, match=r"\(source, target\[, weight\]\), got length 1$"):
         wp.build(3, [(10**5000,)])
+    with pytest.raises(GraphError, match=r"\(source, target\[, weight\]\), got int$"):
+        wp.build(3, [5])
+    # weights that are not real numbers are named by the edge's ids;
+    # float() would read the strings, bytes and bools
+    for weight in (None, complex(1, 0), [1], "abc", "2", b"2", True, 10**400):
+        with pytest.raises(GraphError, match=r"weight on edge \(0, 1\) must be a real number"):
+            wp.build(3, [(1, 2), (0, 1, weight)])
     with pytest.raises(GraphError, match="self-loop at node 2"):
         wp.build(3, [(2, 2)])
     with pytest.raises(GraphError, match="at least one edge"):

@@ -580,6 +580,21 @@ def test_walk_counts_figure1():
     assert isinstance(wp.walk_count(wp.figure1(), 3), int)
 
 
+def test_walk_orders_must_be_integers():
+    g, d = wp.figure1(), wp.star_out(4)
+    walks = [lambda k: wp.walk_count(g, k), lambda k: wp.walk_counts_through(g, k),
+             lambda k: wp.mixed_walk_count(d, k)]
+    checks = [lambda k: wp.check_walk_growth(g, k), lambda k: wp.check_mixed_walk_growth(d, k),
+              lambda k: wp.check_lagarias(g, k, 1)]
+    for call in walks + checks:
+        # the checks compare their orders with 1 before any walk
+        for k in (1.5, 2.0) + (("3", None) if call in walks else ()):
+            with pytest.raises(ParameterError, match="walk order must be a nonnegative integer"):
+                call(k)
+        call(np.int64(2))  # numpy integers stay orders
+    assert wp.walk_count(g, np.int64(3)) == 96
+
+
 @given(graphs(max_n=7))
 @settings(max_examples=50)
 def test_walk_counts_match_int_oracle(g):
