@@ -13,6 +13,7 @@ import pytest
 import walkparadox as wp
 import walkparadox.cli as cli
 from walkparadox import TheoremViolationError, parse_edge_list
+from walkparadox.graph import _MAX_NODES
 
 
 def run_json(capsys, argv):
@@ -258,6 +259,15 @@ def test_malformed_edge_list_is_an_input_error(content, tmp_path, capsys):
     f.write_bytes(content)
     assert cli.run(["paradox", "--graph", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("line", ["0 " + "1" * 5000, f"0 {2**63}", f"0 {_MAX_NODES}"],
+                         ids=["5000-digit-id", "id-2^63", "id-at-node-cap"])
+def test_id_past_the_node_cap_is_one_error_line(line, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"0 1\n{line}\n"))
+    assert cli.run(["paradox", "--graph", "-"]) == 2
+    assert capsys.readouterr().err == (f"error: line 2: node id too large: a graph holds at "
+                                       f"most {_MAX_NODES} nodes\n")
 
 
 def test_usage_errors_from_argparse(capsys):
