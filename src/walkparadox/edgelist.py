@@ -59,8 +59,10 @@ def parse_edge_list(text: str, one_based: bool = False) -> Graph:
     heads, tails, weights = _columns(" ".join(bare[start:]).split(), fields)
     shift = 1 if one_based else 0
     cap = _MAX_NODES - 1 + shift  # the largest id whose node count is held
+    # an unread token counts as cap + 1: digits that int() refuses only for
+    # their number are ids past cap, and any other token is no id at all
     ids, unread = _read(heads + tails, int, cap + 1)
-    if unread.any():  # digits that int() refuses only for their number are past cap
+    if unread.any():
         unread &= [not _digits(tok) for tok in heads + tails]
     try:
         codes = np.array(ids, dtype=np.int64)
